@@ -17,7 +17,7 @@ import shlex
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -71,85 +71,6 @@ def _cast_float_list(s: str) -> tuple[float, ...]:
     return tuple(_cast_float(p) for p in parts)
 
 
-@dataclass(frozen=True)
-class _FieldSpec:
-    name: str
-    cast: Callable[[str], object]
-    default: object = None  # None means required
-    help: str = ""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved, validated parameters of one experiment.
-
-    The seed is always present and always echoed into the output, even
-    for experiments that draw no randomness.
-    """
-
-    subcommand: str
-    seed: int = 0
-    threads: int = 1
-    output: Optional[str] = None
-    format: str = "csv"
-    p: Optional[int] = None
-    q: Optional[tuple[int, ...]] = None
-    q_max: Optional[int] = None
-    K: Optional[int] = None
-    M: Optional[tuple[float, ...]] = None
-    t: Optional[float] = None
-    t_max: Optional[float] = None
-    dt: Optional[float] = None
-    delta: Optional[float] = None
-    bins: Optional[int] = None
-    grid: Optional[int] = None
-    n: Optional[int] = None
-    sample_size: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.subcommand not in _SUBCOMMANDS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, not {self.format!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        checks = (
-            ("p", lambda v: v >= 1, "p must be >= 1"),
-            ("q", lambda v: all(x >= 2 for x in v), "every q must be >= 2"),
-            ("q_max", lambda v: v >= 2, "q-max must be >= 2"),
-            ("K", lambda v: v >= 1, "K must be >= 1"),
-            ("M", lambda v: all(x >= 1 for x in v), "every M must be >= 1"),
-            ("t", lambda v: v >= 0, "t must be >= 0"),
-            ("t_max", lambda v: v > 0, "t-max must be positive"),
-            ("dt", lambda v: 0 < v <= 0.1, "dt must lie in (0, 0.1]"),
-            ("delta", lambda v: v > 0, "delta must be positive"),
-            ("bins", lambda v: v >= 2, "bins must be >= 2"),
-            ("grid", lambda v: v >= 2, "grid must be >= 2"),
-            ("n", lambda v: v >= 1, "n must be >= 1"),
-            ("sample_size", lambda v: v >= 1, "sample-size must be >= 1"),
-        )
-        for name, ok, msg in checks:
-            v = getattr(self, name)
-            if v is not None and not ok(v):
-                raise ConfigError(msg)
-
-    def echo(self) -> dict[str, object]:
-        """Config as an ordered mapping, embedded into every output."""
-        out: dict[str, object] = {"subcommand": self.subcommand}
-        for spec in _SUBCOMMANDS[self.subcommand].fields:
-            v = getattr(self, spec.name)
-            if v is not None:
-                out[spec.name] = v
-        out["seed"] = self.seed
-        out["threads"] = self.threads
-        out["format"] = self.format
-        if self.output is not None:
-            out["output"] = self.output
-        return out
-
-
 def _default_threads() -> int:
     env = os.environ.get("CFORBIT_THREADS")
     if env:
@@ -161,6 +82,124 @@ def _default_threads() -> int:
             raise ConfigError("CFORBIT_THREADS must be >= 1")
         return n
     return os.cpu_count() or 1
+
+
+def _param(
+    cast: Callable[[str], object],
+    help: str,
+    ok: Optional[Callable[[object], bool]] = None,
+    message: str = "",
+    default: object = None,
+    factory: Optional[Callable[[], object]] = None,
+):
+    """Declare one CLI parameter as an ExperimentConfig field.
+
+    `cast` turns flag or config-file text into the value, `ok` is the
+    check every value passes (failing it raises ConfigError(message)),
+    and `help` is the flag's help text. The field default serves direct
+    construction and the common parameters; each subcommand names the
+    defaults of its own parameters.
+    """
+    meta = {"cast": cast, "help": help, "ok": ok, "message": message}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Resolved, validated parameters of one experiment.
+
+    Every field but `subcommand` is a CLI parameter declared by `_param`;
+    that one declaration drives the flag, the config-file key, the check
+    and the config echo. The seed is always present and always echoed
+    into the output, even for experiments that draw no randomness.
+    """
+
+    subcommand: str
+    seed: int = _param(
+        _cast_int, "RNG seed (default 0)", lambda v: v >= 0, "seed must be >= 0", default=0
+    )
+    threads: int = _param(
+        _cast_int,
+        "worker threads (default: CFORBIT_THREADS or available parallelism)",
+        lambda v: v >= 1,
+        "threads must be >= 1",
+        factory=_default_threads,
+    )
+    output: Optional[str] = _param(str, "output path (default stdout)")
+    format: str = _param(
+        str,
+        "output format, csv or json (default csv)",
+        lambda v: v in ("csv", "json"),
+        "format must be csv or json",
+        default="csv",
+    )
+    p: Optional[int] = _param(_cast_int, "numerator", lambda v: v >= 1, "p must be >= 1")
+    q: Optional[tuple[int, ...]] = _param(
+        _cast_int_list,
+        "denominator(s), comma separated",
+        lambda v: all(x >= 2 for x in v),
+        "every q must be >= 2",
+    )
+    q_max: Optional[int] = _param(
+        _cast_int, "largest denominator", lambda v: v >= 2, "q-max must be >= 2"
+    )
+    K: Optional[int] = _param(_cast_int, "digit bound", lambda v: v >= 1, "K must be >= 1")
+    M: Optional[tuple[float, ...]] = _param(
+        _cast_float_list,
+        "height threshold(s), comma separated",
+        lambda v: all(x >= 1 for x in v),
+        "every M must be >= 1",
+    )
+    t: Optional[float] = _param(_cast_float, "flow time", lambda v: v >= 0, "t must be >= 0")
+    t_max: Optional[float] = _param(
+        _cast_float, "grid end (0 = full life span)", lambda v: v > 0, "t-max must be positive"
+    )
+    dt: Optional[float] = _param(
+        _cast_float, "time step", lambda v: 0 < v <= 0.1, "dt must lie in (0, 0.1]"
+    )
+    delta: Optional[float] = _param(
+        _cast_float, "deviation threshold", lambda v: v > 0, "delta must be positive"
+    )
+    bins: Optional[int] = _param(
+        _cast_int, "digit-measure bins", lambda v: v >= 2, "bins must be >= 2"
+    )
+    grid: Optional[int] = _param(
+        _cast_int, "cells per axis", lambda v: v >= 2, "grid must be >= 2"
+    )
+    n: Optional[int] = _param(_cast_int, "sample count", lambda v: v >= 1, "n must be >= 1")
+    sample_size: Optional[int] = _param(
+        _cast_int, "residues sampled", lambda v: v >= 1, "sample-size must be >= 1"
+    )
+
+    def __post_init__(self) -> None:
+        if self.subcommand not in _SUBCOMMANDS:
+            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
+        for name, meta in _PARAMS.items():
+            v = getattr(self, name)
+            if v is not None and meta["ok"] is not None and not meta["ok"](v):
+                raise ConfigError(meta["message"])
+
+    def echo(self) -> dict[str, object]:
+        """Config as an ordered mapping, embedded into every output.
+
+        The subcommand's parameters come in its own order, then the
+        common ones; unset (None) values are left out.
+        """
+        out: dict[str, object] = {"subcommand": self.subcommand}
+        for name in (*_SUBCOMMANDS[self.subcommand].params, *_COMMON):
+            v = getattr(self, name)
+            if v is not None:
+                out[name] = v
+        return out
+
+
+_PARAMS = {f.name: f.metadata for f in dataclass_fields(ExperimentConfig) if f.metadata}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -182,14 +221,10 @@ def read_config_file(path: str) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One output row: metric values in schema order plus the run's config echo."""
+    """One output row: metric values by column, plus a JSON-only histogram payload."""
 
-    experiment: str
-    schema: str
-    config: Mapping[str, object]
     metrics: Mapping[str, object]
     histogram: Optional[Mapping[str, object]] = None
-    seconds: float = 0.0
 
     def __post_init__(self) -> None:
         for k, v in self.metrics.items():
@@ -500,7 +535,7 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
 def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Row]:
     assert cfg.q_max is not None and cfg.K is not None
     branches = range(1, cfg.K + 2)
-    if cfg.threads > 1 and cfg.K + 1 > 1:
+    if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=min(cfg.threads, cfg.K + 1)) as pool:
             parts = list(
                 pool.map(lambda a: enumerate_bounded(cfg.q_max, cfg.K, a), branches)
@@ -548,11 +583,17 @@ def _run_symmetry_check(cfg: ExperimentConfig) -> Iterator[Row]:
 
 # ------------------------------------------------------------- registry
 
+_REQUIRED = object()  # a subcommand parameter without a default
+
+# parameters every subcommand takes, in echo order; defaults are the field defaults
+_COMMON = ("seed", "threads", "format", "output")
+
+
 @dataclass(frozen=True)
 class _SubSpec:
     name: str
     help: str
-    fields: tuple[_FieldSpec, ...]
+    params: Mapping[str, object]  # name -> default or _REQUIRED, in flag and echo order
     columns: tuple[str, ...]
     runner: Callable[[ExperimentConfig], Iterator[Row]]
 
@@ -561,160 +602,112 @@ class _SubSpec:
         return f"cforbit.{self.name}.v1"
 
 
-def _f(name: str, cast: Callable[[str], object], default: object = None, help: str = "") -> _FieldSpec:
-    return _FieldSpec(name, cast, default, help)
-
-
 _SUBCOMMANDS: dict[str, _SubSpec] = {
     s.name: s
     for s in (
         _SubSpec(
             "cfe",
             "digit word of one reduced fraction",
-            (_f("p", _cast_int, help="numerator"), _f("q", _cast_int_list, help="denominator")),
+            {"p": _REQUIRED, "q": _REQUIRED},
             ("p", "q", "len", "digits"),
             _run_cfe,
         ),
         _SubSpec(
             "sweep-len",
             "exact length statistics of the full coprime sweep",
-            (
-                _f("q", _cast_int_list, help="denominator(s), comma separated"),
-                _f("bins", _cast_int, 256, "digit-measure bins"),
-            ),
+            {"q": _REQUIRED, "bins": 256},
             ("q", "phi", "mean_len", "var_len", "mean_ratio", "ks_to_gauss"),
             _run_sweep_len,
         ),
         _SubSpec(
             "sweep-digits",
             "digit census of the full coprime sweep (digit 0 = overflow)",
-            (
-                _f("q", _cast_int_list, help="denominator(s), comma separated"),
-                _f("bins", _cast_int, 256, "digit-measure bins"),
-            ),
+            {"q": _REQUIRED, "bins": 256},
             ("q", "digit", "count", "frequency"),
             _run_sweep_digits,
         ),
         _SubSpec(
             "dispersion",
             "fraction of residues with len ratio off the limit by more than delta",
-            (
-                _f("q", _cast_int_list, help="denominator(s), comma separated"),
-                _f("delta", _cast_float, 0.05, "deviation threshold"),
-            ),
+            {"q": _REQUIRED, "delta": 0.05},
             ("q", "delta", "dispersion"),
             _run_dispersion,
         ),
         _SubSpec(
             "orbit",
             "height and fundamental-domain track of one orbit",
-            (
-                _f("p", _cast_int, help="numerator"),
-                _f("q", _cast_int_list, help="denominator"),
-                _f("dt", _cast_float, 0.05, "time step"),
-                _f("t_max", _cast_float, 0.0, "grid end (0 = full life span)"),
-            ),
+            {"p": _REQUIRED, "q": _REQUIRED, "dt": 0.05, "t_max": 0.0},
             ("t", "height", "fd_x", "fd_y"),
             _run_orbit,
         ),
         _SubSpec(
             "cross-section",
             "exact section crossings of one orbit",
-            (_f("p", _cast_int, help="numerator"), _f("q", _cast_int_list, help="denominator")),
+            {"p": _REQUIRED, "q": _REQUIRED},
             ("k", "y", "z", "eps", "t"),
             _run_cross_section,
         ),
         _SubSpec(
             "kappa",
             "normalizing constant by quadrature",
-            (),
+            {},
             ("kappa", "target", "abs_err"),
             _run_kappa,
         ),
         _SubSpec(
             "mass-escape",
             "exact high-excursion counts against the totient bound",
-            (
-                _f("q", _cast_int_list, help="denominator"),
-                _f("M", _cast_float_list, help="height threshold(s), comma separated"),
-                _f("t", _cast_float, help="flow time"),
-            ),
+            {"q": _REQUIRED, "M": _REQUIRED, "t": _REQUIRED},
             ("q", "M", "t", "count", "bound", "ratio", "in_hypothesis", "escalations"),
             _run_mass_escape,
         ),
         _SubSpec(
             "fd-hist",
             "fundamental-domain histogram of orbit time against Haar cell masses",
-            (
-                _f("q", _cast_int_list, help="denominator"),
-                _f("dt", _cast_float, 0.05, "time step"),
-                _f("grid", _cast_int, 24, "cells per axis"),
-                _f("sample_size", _cast_int, 600, "residues sampled"),
-            ),
+            {"q": _REQUIRED, "dt": 0.05, "grid": 24, "sample_size": 600},
             ("q", "dt", "grid", "sample_size", "seed", "cells", "discrepancy"),
             _run_fd_hist,
         ),
         _SubSpec(
             "haar-selftest",
             "Monte-Carlo Haar sampler against the analytic cell masses",
-            (
-                _f("n", _cast_int, 100000, "sample count"),
-                _f("grid", _cast_int, 24, "cells per axis"),
-            ),
+            {"n": 100000, "grid": 24},
             ("n", "grid", "seed", "cells", "discrepancy", "noise_floor", "ok"),
             _run_haar_selftest,
         ),
         _SubSpec(
             "zaremba-census",
             "bounded-digit census rows (q, count_relaxed, count_strict)",
-            (
-                _f("q_max", _cast_int, help="largest denominator"),
-                _f("K", _cast_int, help="digit bound"),
-            ),
+            {"q_max": _REQUIRED, "K": _REQUIRED},
             ("q", "count_relaxed", "count_strict"),
             _run_zaremba_census,
         ),
         _SubSpec(
             "zaremba-height",
             "orbit-height bound check over the bounded-digit members of q",
-            (
-                _f("q", _cast_int_list, help="denominator(s), comma separated"),
-                _f("K", _cast_int, help="digit bound"),
-                _f("dt", _cast_float, 0.05, "time step"),
-            ),
+            {"q": _REQUIRED, "K": _REQUIRED, "dt": 0.05},
             ("q", "K", "checked", "bound", "max_height", "argmax_t", "argmax_p"),
             _run_zaremba_height,
         ),
         _SubSpec(
             "symmetry-check",
             "exact duality-symmetry identity over all reduced fractions up to q-max",
-            (_f("q_max", _cast_int, help="largest denominator"),),
+            {"q_max": _REQUIRED},
             ("q_max", "pairs_checked", "failures"),
             _run_symmetry_check,
         ),
     )
 }
 
-_COMMON_FIELDS = ("seed", "threads", "output", "format", "config")
-
 
 def run(config: ExperimentConfig) -> Iterator[ResultRecord]:
     """Dispatch to the owning module; yields one ResultRecord per output row."""
     sub = _SUBCOMMANDS[config.subcommand]
-    echo = config.echo()
-    start = time.perf_counter()
     for metrics, histogram in sub.runner(config):
         missing = [c for c in sub.columns if c not in metrics]
         if missing:
             raise RuntimeError(f"runner dropped columns {missing}")
-        yield ResultRecord(
-            experiment=config.subcommand,
-            schema=sub.schema,
-            config=echo,
-            metrics=metrics,
-            histogram=histogram,
-            seconds=time.perf_counter() - start,
-        )
+        yield ResultRecord(metrics, histogram)
 
 
 # ----------------------------------------------------------------- main
@@ -728,90 +721,44 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for sub in _SUBCOMMANDS.values():
         sp = subparsers.add_parser(sub.name, help=sub.help)
-        for spec in sub.fields:
-            flag = "--" + spec.name.replace("_", "-")
+        for name in (*sub.params, *_COMMON):
             sp.add_argument(
-                flag,
-                dest=spec.name,
-                type=spec.cast,
+                _flag(name),
+                dest=name,
+                type=_PARAMS[name]["cast"],
                 default=argparse.SUPPRESS,
-                help=spec.help or spec.name,
-                required=False,
+                help=_PARAMS[name]["help"],
             )
         sp.add_argument("--config", default=argparse.SUPPRESS, help="key=value file; flags override it")
-        sp.add_argument("--seed", type=_cast_int, default=argparse.SUPPRESS, help="RNG seed (default 0)")
-        sp.add_argument(
-            "--threads",
-            type=_cast_int,
-            default=argparse.SUPPRESS,
-            help="worker threads (default: CFORBIT_THREADS or available parallelism)",
-        )
-        sp.add_argument("--output", default=argparse.SUPPRESS, help="output path (default stdout)")
-        sp.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=argparse.SUPPRESS,
-            help="output format (default csv)",
-        )
     return parser
 
 
 def build_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
-    """Parse flags, fold in the optional config file, validate everything."""
-    args = _build_parser().parse_args(argv)
-    provided = vars(args)
-    sub = _SUBCOMMANDS[provided.pop("subcommand")]
+    """Parse flags, fold in the optional config file, validate everything.
 
-    file_values: dict[str, object] = {}
-    if "config" in provided:
-        raw = read_config_file(provided.pop("config"))
-        known = {spec.name: spec for spec in sub.fields}
-        for key, value in raw.items():
-            if key in known:
-                try:
-                    file_values[key] = known[key].cast(value)
-                except ValueError as e:
-                    raise ConfigError(f"config key {key}: {e}") from e
-            elif key == "seed":
-                file_values["seed"] = _cast_int(value)
-            elif key == "threads":
-                file_values["threads"] = _cast_int(value)
-            elif key == "output":
-                file_values["output"] = value
-            elif key == "format":
-                file_values["format"] = value
-            else:
+    A config-file value goes through the same cast and check as its flag.
+    """
+    flags = vars(_build_parser().parse_args(argv))
+    sub = _SUBCOMMANDS[flags.pop("subcommand")]
+
+    values: dict[str, object] = {}
+    if "config" in flags:
+        for key, text in read_config_file(flags.pop("config")).items():
+            if key not in sub.params and key not in _COMMON:
                 raise ConfigError(f"config key {key!r} is not a {sub.name} parameter")
-
-    merged: dict[str, object] = {}
-    for spec in sub.fields:
-        if spec.name in provided:
-            merged[spec.name] = provided[spec.name]
-        elif spec.name in file_values:
-            merged[spec.name] = file_values[spec.name]
-        elif spec.default is not None:
-            merged[spec.name] = spec.default
-        else:
-            raise ConfigError(f"{sub.name} requires --{spec.name.replace('_', '-')}")
-    for key in ("seed", "threads", "output", "format"):
-        if key in provided:
-            merged[key] = provided[key]
-        elif key in file_values:
-            merged[key] = file_values[key]
-    merged.setdefault("seed", 0)
-    merged.setdefault("threads", _default_threads())
-    merged.setdefault("format", "csv")
-    if merged.get("t_max") == 0.0:
-        merged["t_max"] = None
-
-    allowed = {f.name for f in dataclass_fields(ExperimentConfig)}
-    unknown = set(merged) - allowed
-    if unknown:
-        raise ConfigError(f"unsupported parameters: {sorted(unknown)}")
-    try:
-        return ExperimentConfig(subcommand=sub.name, **merged)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+            try:
+                values[key] = _PARAMS[key]["cast"](text)
+            except ValueError as e:
+                raise ConfigError(f"config key {key}: {e}") from e
+    values.update(flags)  # flags override the file
+    for name, default in sub.params.items():
+        if name not in values:
+            if default is _REQUIRED:
+                raise ConfigError(f"{sub.name} requires {_flag(name)}")
+            values[name] = default
+    if values.get("t_max") == 0.0:
+        values["t_max"] = None  # t-max 0 means the full life span
+    return ExperimentConfig(subcommand=sub.name, **values)
 
 
 def _error_line(kind: str, message: str) -> None:

@@ -79,6 +79,14 @@ def test_config_file_merging(tmp_path):
     path.write_text("qq=5\n")
     with pytest.raises(ConfigError):
         capture(["dispersion", "--config", str(path)])
+    # common keys are cast like their flags, and a bad value names its key
+    for text, key in (("seed=abc\n", "seed"), ("threads=x\n", "threads")):
+        path.write_text("q=101\n" + text)
+        with pytest.raises(ConfigError, match=f"config key {key}:"):
+            capture(["dispersion", "--config", str(path)])
+    path.write_text("q=101\nformat=xml\n")
+    with pytest.raises(ConfigError, match="format must be csv or json"):
+        capture(["dispersion", "--config", str(path), "--threads", "1"])
 
 
 def test_threads_environment_default(monkeypatch):
@@ -236,7 +244,7 @@ def test_main_invariant_failures_exit_2(capsys, monkeypatch):
 
 def test_record_and_formatting_rules():
     with pytest.raises(ValueError):
-        ResultRecord("x", "s.v1", {}, {"bad": math.inf})
+        ResultRecord({"bad": math.inf})
     assert _fmt(True) == "true" and _fmt(False) == "false"
     assert _fmt(1 / 3) == "0.333333333333"
     assert _fmt(7) == "7"
