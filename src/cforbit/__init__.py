@@ -7,6 +7,8 @@ measure, counting bounds for escape of mass, and bounded-digit censuses.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .arith import (
     Modulus,
     coprime_array,
@@ -106,90 +108,9 @@ from .zaremba import (
     members,
 )
 
-__all__ = [
-    "__version__",
-    "Modulus",
-    "coprime_array",
-    "coprime_residues",
-    "count_coprime_upto",
-    "dual_residue",
-    "euler_phi",
-    "factorize",
-    "omega",
-    "CfeWord",
-    "ConvergentList",
-    "DigitHistogram",
-    "ReducedFraction",
-    "cfe_digits",
-    "cfe_len",
-    "convergents",
-    "digit_histogram",
-    "from_digits",
-    "gauss_map",
-    "word_frequency",
-    "CrossingRecord",
-    "CrossSectionPoint",
-    "DegenerateStartError",
-    "NumericEvent",
-    "SectionDomainError",
-    "crossing_sequence",
-    "detect_crossings_numeric",
-    "detect_events_numeric",
-    "first_crossing",
-    "kappa_quadrature",
-    "mean_return_time",
-    "return_map",
-    "return_time",
-    "sample_section",
-    "LN2",
-    "Interval",
-    "cylinder_interval",
-    "digit_probability",
-    "gauss_cdf",
-    "gauss_density",
-    "measure_interval",
-    "LatticeBasis",
-    "LatticeError",
-    "OrbitSample",
-    "SymmetryError",
-    "dual_point",
-    "haar_fd_sample",
-    "haar_sample",
-    "height",
-    "orbit_point",
-    "orbit_samples",
-    "reduce_basis",
-    "shape_point",
-    "to_fundamental_domain",
-    "verify_symmetry",
-    "LEN_RATE",
-    "EmpiricalMeasure",
-    "FdHistogram",
-    "MassEscapeBoundError",
-    "MassEscapeReport",
-    "SweepSummary",
-    "averaged_height_tail",
-    "digit_one_frequency",
-    "dispersion",
-    "fd_cell_masses",
-    "haar_fd_histogram",
-    "haar_height_tail",
-    "ks_distance",
-    "len_stats",
-    "mass_escape_count",
-    "nu_bar",
-    "nu_pq",
-    "orbit_fd_histogram",
-    "orbit_height_tail",
-    "uniform_edges",
-    "HeightBoundError",
-    "HeightBoundReport",
-    "ZarembaCensus",
-    "brute_force_census",
-    "brute_force_censuses",
-    "dual_closure_fraction",
-    "enumerate_bounded",
-    "exponent_fit",
-    "height_bound_check",
-    "members",
+# the public names are exactly the ones imported above
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -2,7 +2,8 @@
 
 Everything is integer arithmetic: factorization by trial division, totient
 and distinct-prime counts read off the factorization, coprime residue
-enumeration, and the pairing p -> p' with p*p' = -1 (mod q).
+enumeration, the pairing p -> p' with p*p' = -1 (mod q), and the one
+vectorized Euclid kernel that every sweep over residues runs.
 """
 from __future__ import annotations
 
@@ -118,6 +119,26 @@ def coprime_array(m: int | Modulus) -> np.ndarray:
     for pr in m.primes:
         mask &= (p % pr) != 0
     return p[mask]
+
+
+def _euclid_rounds(
+    a: np.ndarray, b: np.ndarray, *carry: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]]:
+    """Run the Euclid chains of the columns (a, b), 0 < b < a, one round at a time.
+
+    Each round yields (a, b, d, r, carry) over the live columns, with
+    d, r = divmod(a, b). Round k is the k-th digit of b/a, and a
+    column ends in the round where r hits 0. After the yield the ended
+    columns are dropped from a, b and every carried array (per-column
+    state such as weights or indices, which the caller may update in
+    place) by the same mask.
+    """
+    while b.size:
+        d, r = np.divmod(a, b)
+        yield a, b, d, r, carry
+        keep = r > 0
+        a, b = b[keep], r[keep]
+        carry = tuple(c[keep] for c in carry)
 
 
 def count_coprime_upto(m: int | Modulus, alpha: Rational) -> int:

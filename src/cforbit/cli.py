@@ -27,6 +27,7 @@ from .cfe import ReducedFraction, cfe_digits
 from .crosssec import crossing_sequence, kappa_quadrature
 from .lattice import SymmetryError, orbit_samples, verify_symmetry
 from .stats import (
+    SWEEP_Q_MIN,
     dispersion,
     haar_fd_histogram,
     len_stats,
@@ -180,6 +181,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and meta["ok"] is not None and not meta["ok"](v):
                 raise ConfigError(meta["message"])
+        if self.subcommand in _SWEEPS and any(x < SWEEP_Q_MIN for x in self.q or ()):
+            raise ConfigError(f"every q must be >= {SWEEP_Q_MIN} for {self.subcommand}")
 
     def echo(self) -> dict[str, object]:
         """Config as an ordered mapping, embedded into every output.
@@ -587,6 +590,9 @@ _REQUIRED = object()  # a subcommand parameter without a default
 
 # parameters every subcommand takes, in echo order; defaults are the field defaults
 _COMMON = ("seed", "threads", "format", "output")
+
+# subcommands that run full sweeps; their q list is checked whole before any output
+_SWEEPS = ("sweep-len", "sweep-digits", "dispersion")
 
 
 @dataclass(frozen=True)

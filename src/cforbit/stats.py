@@ -5,10 +5,12 @@ modulus q: digit statistics of p/q under the Gauss map, orbit height
 tails against the Haar reference, fundamental-domain histograms, and
 the exact no-escape-of-mass counting bound.
 
-Sweeps run vectorized over p in fixed-size chunks merged in ascending
-order, so results are deterministic down to the last bit for a given q
-and binning. Orbit points are binned exactly: the bin of B/A with
-nbins bins is (B * nbins) // A, never a float comparison.
+Full sweeps run the Euclid kernel of arith over p in fixed-size chunks
+merged in ascending order, so results are deterministic down to the
+last bit for a given q and binning. They keep histograms only: the
+length statistics read a histogram of len(p/q), not one length per
+residue. Orbit points are binned exactly: the bin of B/A with nbins
+bins is (B * nbins) // A, never a float comparison.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Callable, Union
 import mpmath
 import numpy as np
 
-from .arith import Modulus, coprime_array, euler_phi, omega
+from .arith import Modulus, _euclid_rounds, coprime_array, euler_phi, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
 from .lattice import fd_point_floats, haar_fd_sample
@@ -33,6 +35,9 @@ ZETA2 = math.pi * math.pi / 6.0
 LEN_RATE = LN2 / ZETA2
 
 _CHUNK = 1 << 18
+
+#: smallest modulus the full sweeps (nu_bar, len_stats, dispersion, digit_one_frequency) accept
+SWEEP_Q_MIN = 3
 
 
 def _q_int(m: Union[int, Modulus]) -> int:
@@ -98,63 +103,51 @@ def nu_pq(x: ReducedFraction, bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class _SweepData:
-    q: int
     phi: int
-    lens: np.ndarray
+    len_counts: np.ndarray  # len_counts[n] = number of residues p with len(p/q) = n
     hist: np.ndarray
     digit_counts: np.ndarray
     digit1_weighted: float
-    pool: int
+
+    def len_moment(self, k: int) -> int:
+        """Exact sum of len(p/q)^k over the coprime residues p."""
+        return int(np.arange(self.len_counts.size, dtype=np.int64) ** k @ self.len_counts)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)
 def _sweep(q: int, bins: int) -> _SweepData:
-    """Two vectorized Euclid passes over all coprime p: lengths first, then weighted statistics."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    """Two Euclid-kernel runs per chunk of coprime p: lengths first, then the 1/len-weighted statistics.
+
+    An entry holds histograms only (about 3 KB at the default binning),
+    so the cache can keep every (q, bins) a run revisits.
+    """
+    if q < SWEEP_Q_MIN:
+        raise ValueError(f"q must be >= {SWEEP_Q_MIN}")
     residues = coprime_array(q)
     phi = residues.size
-    lens = np.zeros(phi, dtype=np.int16)
+    # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
+    len_counts = np.zeros(q.bit_length() * 3 // 2 + 2, dtype=np.int64)
     hist = np.zeros(bins, dtype=np.float64)
     digit_counts = np.zeros(DIGIT_CAP + 2, dtype=np.int64)
     digit1_weighted = 0.0
-    pool = 0
     for lo in range(0, phi, _CHUNK):
-        chunk = residues[lo : lo + _CHUNK].astype(np.int64)
+        chunk = residues[lo : lo + _CHUNK]
         n = chunk.size
-        a = np.full(n, q, dtype=np.int64)
-        b = chunk.copy()
-        idx = np.arange(n)
-        rounds = 0
-        while b.size:
-            rounds += 1
-            r = a % b
-            done = r == 0
-            lens[lo + idx[done]] = rounds
-            keep = ~done
-            a, b, idx = b[keep], r[keep], idx[keep]
-        w_all = 1.0 / lens[lo : lo + n].astype(np.float64)
-        a = np.full(n, q, dtype=np.int64)
-        b = chunk
-        w = w_all
-        while b.size:
-            d = a // b
+        qs = np.full(n, q, dtype=np.int64)
+        lens = np.zeros(n, dtype=np.int64)
+        for k, (_, _, _, r, (idx,)) in enumerate(_euclid_rounds(qs, chunk, np.arange(n)), 1):
+            lens[idx[r == 0]] = k
+        len_counts += np.bincount(lens, minlength=len_counts.size)
+        for a, b, d, _, (w,) in _euclid_rounds(qs, chunk, 1.0 / lens):
             hist += np.bincount((b * bins) // a, weights=w, minlength=bins)
             digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
             digit1_weighted += float(w[d == 1].sum())
-            pool += b.size
-            r = a - d * b
-            keep = r > 0
-            a, b, w = b[keep], r[keep], w[keep]
-    return _SweepData(q, phi, lens, hist, digit_counts, digit1_weighted, pool)
+    return _SweepData(phi, len_counts, hist, digit_counts, digit1_weighted)
 
 
 def nu_bar(q: Union[int, Modulus], bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
     """Average of nu_pq over all residues coprime to q; total weight 1."""
-    qi = _q_int(q)
-    if qi < 3:
-        raise ValueError("q must be >= 3")
-    sd = _sweep(qi, bins)
+    sd = _sweep(_q_int(q), bins)
     return EmpiricalMeasure(uniform_edges(bins), sd.hist / sd.phi)
 
 
@@ -166,7 +159,6 @@ class SweepSummary:
     var_len: Fraction
     digit_hist: DigitHistogram
     ks_to_gauss: float
-    skipped_count: int = 0
 
     def __post_init__(self) -> None:
         if self.mean_len > 2 * math.log2(self.q):
@@ -176,13 +168,9 @@ class SweepSummary:
 def len_stats(q: Union[int, Modulus], bins: int = DEFAULT_BINS) -> SweepSummary:
     """Exact mean and variance of len(p/q) over coprime p, with the digit census of the sweep."""
     qi = _q_int(q)
-    if qi < 3:
-        raise ValueError("q must be >= 3")
     sd = _sweep(qi, bins)
-    s1 = int(np.sum(sd.lens, dtype=np.int64))
-    s2 = int(np.sum(sd.lens.astype(np.int64) ** 2))
-    mean = Fraction(s1, sd.phi)
-    var = Fraction(s2, sd.phi) - mean * mean
+    mean = Fraction(sd.len_moment(1), sd.phi)
+    var = Fraction(sd.len_moment(2), sd.phi) - mean * mean
     counts = {d: int(sd.digit_counts[d]) for d in range(1, DIGIT_CAP + 1) if sd.digit_counts[d]}
     dh = DigitHistogram(DIGIT_CAP, counts, int(sd.digit_counts[DIGIT_CAP + 1]))
     ks = ks_distance(EmpiricalMeasure(uniform_edges(bins), sd.hist / sd.phi))
@@ -195,8 +183,8 @@ def dispersion(q: Union[int, Modulus], delta: float) -> float:
         raise ValueError("delta must be positive")
     qi = _q_int(q)
     sd = _sweep(qi, DEFAULT_BINS)
-    ratios = sd.lens.astype(np.float64) / (2.0 * math.log(qi))
-    return float(np.mean(np.abs(ratios - LEN_RATE) > delta))
+    ratios = np.arange(sd.len_counts.size, dtype=np.float64) / (2.0 * math.log(qi))
+    return int(sd.len_counts[np.abs(ratios - LEN_RATE) > delta].sum()) / sd.phi
 
 
 def digit_one_frequency(q: Union[int, Modulus], weighted: bool = True) -> float:
@@ -209,7 +197,7 @@ def digit_one_frequency(q: Union[int, Modulus], weighted: bool = True) -> float:
     sd = _sweep(_q_int(q), DEFAULT_BINS)
     if weighted:
         return sd.digit1_weighted / sd.phi
-    return int(sd.digit_counts[1]) / sd.pool
+    return int(sd.digit_counts[1]) / sd.len_moment(1)
 
 
 def _convergent_norm_pairs(x: ReducedFraction) -> tuple[np.ndarray, np.ndarray]:

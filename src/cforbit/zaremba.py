@@ -8,9 +8,10 @@ count additionally caps the last canonical digit at K.
 
 Censuses are built two independent ways: a pruned walk of the digit
 tree through the continuant recursion q_{k+1} = a*q_k + q_{k-1}, and a
-direct digit filter over the coprime residues of each q, kept as the
-oracle. Orbits of members must stay below height sqrt(2)*(K+1)^{3/2}
-over their whole lifetime; height_bound_check measures that.
+direct digit filter, one run of the Euclid kernel of arith over the
+coprime pairs p/q, kept as the oracle. Orbits of members must stay below
+height sqrt(2)*(K+1)^{3/2} over their whole lifetime; height_bound_check
+measures that.
 """
 from __future__ import annotations
 
@@ -20,10 +21,15 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import coprime_array, dual_residue
+from .arith import _euclid_rounds, coprime_array, dual_residue
 from .cfe import ReducedFraction
 from .gaussmeasure import LN2
 from .stats import _convergent_norm_pairs
+
+# pairs per kernel run in the brute-force census: small enough that the
+# live columns stay in cache (the sweeps' 2^18 ran the Q = 10^4 census
+# about 25% slower), large enough to batch many small q
+_PAIR_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -127,34 +133,48 @@ def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> Zare
                 nxt_cur.append(nc[alive])
         prev = np.concatenate(nxt_prev) if nxt_prev else np.empty(0, dtype=np.int64)
         cur = np.concatenate(nxt_cur) if nxt_cur else np.empty(0, dtype=np.int64)
+    return _from_tallies(K, Q, relaxed, strict)
+
+
+def _from_tallies(K: int, Q: int, relaxed: np.ndarray, strict: np.ndarray) -> ZarembaCensus:
+    """Census from member counts indexed by q; empty rows are left out."""
     counts = {int(q): int(c) for q, c in enumerate(relaxed) if c}
     strict_counts = {int(q): int(c) for q, c in enumerate(strict) if c}
     return ZarembaCensus(K, Q, counts, strict_counts)
 
 
-def _digit_profile(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, max interior digit, last digit) over the coprime residues of q.
-
-    One vectorized Euclid run; columns retire as their remainder hits 0.
-    """
-    ps = coprime_array(q)
-    n = ps.size
+def _top_and_last(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest interior digit (0 if none) and last digit of each p/q, by one Euclid-kernel run."""
+    n = p.size
     top = np.zeros(n, dtype=np.int64)
     last = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    a = np.full(n, q, dtype=np.int64)
-    b = ps.copy()
-    mx = np.zeros(n, dtype=np.int64)
-    while b.size:
-        d, r = np.divmod(a, b)
+    for _, _, d, r, (idx, mx) in _euclid_rounds(q, p, np.arange(n), np.zeros(n, dtype=np.int64)):
         fin = r == 0
-        if fin.any():
-            last[idx[fin]] = d[fin]
-            top[idx[fin]] = mx[fin]
-        live = ~fin
-        a, b, idx = b[live], r[live], idx[live]
-        mx = np.maximum(mx[live], d[live])
-    return ps, top, last
+        last[idx[fin]] = d[fin]
+        top[idx[fin]] = mx[fin]
+        np.maximum(mx, d, out=mx)
+    return top, last
+
+
+def _digit_profile(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, max interior digit, last digit) over the coprime residues of q."""
+    ps = coprime_array(q)
+    return (ps, *_top_and_last(np.full(ps.size, q, dtype=np.int64), ps))
+
+
+def _coprime_pairs(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(q, p) columns of every coprime pair with 1 <= p < q <= Q, in chunks of about _PAIR_CHUNK pairs."""
+    qs: list[np.ndarray] = []
+    ps: list[np.ndarray] = []
+    size = 0
+    for q in range(2, Q + 1):
+        p = coprime_array(q)
+        qs.append(np.full(p.size, q, dtype=np.int64))
+        ps.append(p)
+        size += p.size
+        if size >= _PAIR_CHUNK or q == Q:
+            yield np.concatenate(qs), np.concatenate(ps)
+            qs, ps, size = [], [], 0
 
 
 def members(q: int, K: int, strict: bool = False) -> np.ndarray:
@@ -169,23 +189,20 @@ def members(q: int, K: int, strict: bool = False) -> np.ndarray:
 
 
 def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
-    """Censuses at several digit bounds from one digit-filter pass over q <= Q."""
+    """Censuses at several digit bounds from one batched digit-filter pass over all p/q with q <= Q."""
     if Q < 2:
         raise ValueError("Q must be >= 2")
     if not Ks or any(K < 1 for K in Ks):
         raise ValueError("digit bounds must be >= 1")
-    tallies: dict[int, tuple[dict, dict]] = {K: ({}, {}) for K in Ks}
-    for q in range(2, Q + 1):
-        _, top, last = _digit_profile(q)
-        for K, (counts, strict_counts) in tallies.items():
+    relaxed = {K: np.zeros(Q + 1, dtype=np.int64) for K in Ks}
+    strict = {K: np.zeros(Q + 1, dtype=np.int64) for K in Ks}
+    for q, p in _coprime_pairs(Q):
+        top, last = _top_and_last(q, p)
+        for K in relaxed:
             ok = top <= K
-            c = int(np.count_nonzero(ok & (last <= K + 1)))
-            if c:
-                counts[q] = c
-                s = int(np.count_nonzero(ok & (last <= K)))
-                if s:
-                    strict_counts[q] = s
-    return {K: ZarembaCensus(K, Q, c, s) for K, (c, s) in tallies.items()}
+            relaxed[K] += np.bincount(q[ok & (last <= K + 1)], minlength=Q + 1)
+            strict[K] += np.bincount(q[ok & (last <= K)], minlength=Q + 1)
+    return {K: _from_tallies(K, Q, relaxed[K], strict[K]) for K in Ks}
 
 
 def brute_force_census(Q: int, K: int) -> ZarembaCensus:

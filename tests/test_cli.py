@@ -224,6 +224,20 @@ def test_main_exit_codes(capsys, tmp_path):
     assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "io"
 
 
+@pytest.mark.parametrize("sub", ["sweep-len", "sweep-digits", "dispersion"])
+def test_sweeps_check_every_q_before_any_output(sub, capsys, tmp_path):
+    target = tmp_path / "out.csv"
+    assert main([sub, "--q", "1009,2", "--output", str(target), "--threads", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "message": f"every q must be >= 3 for {sub}"}
+    assert not target.exists()
+    path = tmp_path / "run.cfg"
+    path.write_text("q=2,1009\n")
+    with pytest.raises(ConfigError):
+        capture([sub, "--config", str(path), "--threads", "1"])
+    assert main([sub, "--q", "3", "--threads", "1"]) == 0
+
+
 def test_main_invariant_failures_exit_2(capsys, monkeypatch):
     spec = _SUBCOMMANDS["kappa"]
 

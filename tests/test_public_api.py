@@ -1,0 +1,28 @@
+import cforbit
+
+# the package's public names; __all__ is derived from the imports in __init__.py
+PUBLIC = """
+    CfeWord ConvergentList CrossSectionPoint CrossingRecord DegenerateStartError
+    DigitHistogram EmpiricalMeasure FdHistogram HeightBoundError HeightBoundReport
+    Interval LEN_RATE LN2 LatticeBasis LatticeError MassEscapeBoundError
+    MassEscapeReport Modulus NumericEvent OrbitSample ReducedFraction
+    SectionDomainError SweepSummary SymmetryError ZarembaCensus __version__
+    averaged_height_tail brute_force_census brute_force_censuses cfe_digits cfe_len
+    convergents coprime_array coprime_residues count_coprime_upto crossing_sequence
+    cylinder_interval detect_crossings_numeric detect_events_numeric digit_histogram
+    digit_one_frequency digit_probability dispersion dual_closure_fraction
+    dual_point dual_residue enumerate_bounded euler_phi exponent_fit factorize
+    fd_cell_masses first_crossing from_digits gauss_cdf gauss_density gauss_map
+    haar_fd_histogram haar_fd_sample haar_height_tail haar_sample height
+    height_bound_check kappa_quadrature ks_distance len_stats mass_escape_count
+    mean_return_time measure_interval members nu_bar nu_pq omega orbit_fd_histogram
+    orbit_height_tail orbit_point orbit_samples reduce_basis return_map return_time
+    sample_section shape_point to_fundamental_domain uniform_edges verify_symmetry
+    word_frequency
+""".split()
+
+
+def test_all_is_exactly_the_public_set():
+    assert len(cforbit.__all__) == len(set(cforbit.__all__))
+    assert set(cforbit.__all__) == set(PUBLIC)
+    assert all(hasattr(cforbit, name) for name in PUBLIC)

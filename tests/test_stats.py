@@ -86,6 +86,18 @@ def test_averaged_measure_normalization():
         nu_bar(2)
 
 
+@pytest.mark.parametrize(
+    "reader",
+    [nu_bar, len_stats, lambda q: dispersion(q, 0.05), digit_one_frequency],
+    ids=["nu_bar", "len_stats", "dispersion", "digit_one_frequency"],
+)
+def test_sweep_readers_share_one_modulus_guard(reader):
+    for q in (2, 1):
+        with pytest.raises(ValueError, match="q must be >= 3"):
+            reader(q)
+    reader(3)
+
+
 def test_dispersion_values_and_monotonicity_in_delta():
     assert dispersion(101, 0.5) == 0.0
     assert dispersion(1009, 0.5) == 0.0

@@ -1,0 +1,114 @@
+"""The vectorized Euclid kernel and the sweeps built on it.
+
+The frozen values were captured from the two-loop sweep that predates the
+shared kernel; they pin the float results bit for bit, so a reordered
+float sum or a changed bin formula fails here and not only in the
+rounded CLI output.
+"""
+import hashlib
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cforbit.arith import euler_phi
+from cforbit.cfe import ReducedFraction, cfe_digits, cfe_len
+from cforbit.stats import _sweep, digit_one_frequency, len_stats, nu_bar
+from cforbit.zaremba import _PAIR_CHUNK, _digit_profile, brute_force_censuses, enumerate_bounded
+
+# (q, bins): sha256 of nu_bar weights, sha256 of (sorted digit counts, overflow)
+FROZEN_BITS = {
+    (1009, 64): (
+        "f3252a62b84bb2eb13fa3f94b7823f3bb489daaf04ebc8653626206a1ebfa0ac",
+        "d521d1cc1b30ec7ff7fbe5243f436840ecb86504c4284e3da44f1440c07d1f9e",
+    ),
+    (1009, 256): (
+        "8e34d0ddc098e15242f4b8eec3c67a4f25f006a31096e5a86932855f6cdbba41",
+        "d521d1cc1b30ec7ff7fbe5243f436840ecb86504c4284e3da44f1440c07d1f9e",
+    ),
+    (10007, 64): (
+        "11736b1bffdddabc9c2ca05e978e8af43e569031e968c7d24e72852dfe2866f9",
+        "330c6024c6ca92fc4dff737b6fd499a83246fd438407f79caa721cdb2e7e60f7",
+    ),
+    (10007, 256): (
+        "cc544d0f062d07fa3b76785236af8bc49258e188c18bbf49856b5a33f3ade5e5",
+        "330c6024c6ca92fc4dff737b6fd499a83246fd438407f79caa721cdb2e7e60f7",
+    ),
+    (100003, 64): (
+        "595dffdd8dfb30a374953ab5c7cf3cd291a1ee447e9b3f50faa9107f9b519c47",
+        "1225a871acd1a90f85f2c6d40ab4bfa9df534ba69e0567ed7892975537451ad9",
+    ),
+    (100003, 256): (
+        "1e5e863484ec35cbaa8a6daf68a25fe1ce6773d5974e93fb4a2665ec4345bde4",
+        "1225a871acd1a90f85f2c6d40ab4bfa9df534ba69e0567ed7892975537451ad9",
+    ),
+}
+
+# q: (mean_len, var_len, digit total, overflow)
+FROZEN_MOMENTS = {
+    1009: ("3169/504", "808559/254016", 6338, 78),
+    10007: ("82357/10006", "440525873/100120036", 82357, 1172),
+    100003: ("1017059/100002", "56022098705/10000400004", 1017059, 16027),
+}
+
+# q: (weighted, unweighted) digit-1 frequency at the default binning
+FROZEN_DIGIT_ONE = {
+    1009: ("0.35798671951945754", "0.39255285579047017"),
+    10007: ("0.3740820403972513", "0.3993224619643746"),
+    100003: ("0.3819943946110627", "0.4029540075846141"),
+}
+
+
+@pytest.mark.parametrize("q, bins", sorted(FROZEN_BITS))
+def test_sweep_bits_are_frozen(q, bins):
+    weights_sha, digits_sha = FROZEN_BITS[q, bins]
+    assert hashlib.sha256(nu_bar(q, bins).weights.tobytes()).hexdigest() == weights_sha
+    s = len_stats(q, bins)
+    mean, var, total, overflow = FROZEN_MOMENTS[q]
+    assert (str(s.mean_len), str(s.var_len)) == (mean, var)
+    assert (s.digit_hist.total, s.digit_hist.overflow) == (total, overflow)
+    digits = repr((sorted(s.digit_hist.counts.items()), s.digit_hist.overflow))
+    assert hashlib.sha256(digits.encode()).hexdigest() == digits_sha
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_DIGIT_ONE))
+def test_digit_one_frequency_is_frozen(q):
+    weighted, pooled = FROZEN_DIGIT_ONE[q]
+    assert (repr(digit_one_frequency(q, True)), repr(digit_one_frequency(q, False))) == (
+        weighted,
+        pooled,
+    )
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=3, max_value=5000))
+def test_profile_and_length_histogram_match_the_scalar_chain(q):
+    ps, top, last = _digit_profile(q)
+    assert ps.tolist() == [p for p in range(1, q) if math.gcd(p, q) == 1]
+    lens = Counter()
+    for p, t, l in zip(ps.tolist(), top.tolist(), last.tolist()):
+        digits = cfe_digits(ReducedFraction(p, q)).digits
+        assert (t, l) == (max(digits[:-1], default=0), digits[-1])
+        lens[cfe_len(ReducedFraction(p, q))] += 1
+    counts = _sweep(q, 16).len_counts
+    assert {n: int(c) for n, c in enumerate(counts) if c} == dict(lens)
+
+
+def test_batched_census_matches_the_tree_across_chunks():
+    # about 304k coprime pairs with q <= 1000: many kernel chunks
+    assert sum(euler_phi(q) for q in range(2, 1001)) > 2 * _PAIR_CHUNK
+    Ks = (1, 2, 3, 4, 5)
+    for K, census in brute_force_censuses(1000, Ks).items():
+        tree = enumerate_bounded(1000, K)
+        assert dict(census.counts) == dict(tree.counts)
+        assert dict(census.strict_counts) == dict(tree.strict_counts)
+    # a repeated bound is tallied once
+    assert brute_force_censuses(300, (2, 2)) == {2: enumerate_bounded(300, 2)}
+
+
+def test_sweep_cache_entries_are_small():
+    sd = _sweep(100003, 256)
+    held = sum(v.nbytes for v in vars(sd).values() if isinstance(v, np.ndarray))
+    assert held < 4096
