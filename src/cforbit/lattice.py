@@ -231,44 +231,80 @@ def to_fundamental_domain(B: LatticeBasis) -> tuple[float, float, str]:
     raise LatticeError("fundamental-domain reduction did not terminate")
 
 
-def fd_point_floats(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """Fundamental-domain point of the lattice with rows (a,b), (c,d); allocation-free float path.
+def _swap_rows(m: np.ndarray, a, b, c, d) -> tuple[np.ndarray, ...]:
+    """Rows (a, b), (c, d) with the two rows exchanged in the columns where m holds."""
+    return np.where(m, c, a), np.where(m, d, b), np.where(m, a, c), np.where(m, b, d)
 
-    Agrees with to_fundamental_domain within float error; used by the
-    sweeps in stats, which call it millions of times.
+
+def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental-domain points (x, y) of the lattices with rows (a, b), (c, d), one per column.
+
+    The arguments broadcast to one shape and the results come out flat.
+    Each column goes through the float operations of a scalar Gauss
+    reduction (round half to even) and T/S walk, in the same order, so
+    its result does not depend on the batch it runs in. Finished columns
+    are dropped by a keep mask after every round.
     """
+    a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
+    size = a.size
+    ra, rb, rc, rd, fx, fy = (np.empty(size) for _ in range(6))
+    if not size:
+        return fx, fy
+    col = np.arange(size)
     n1 = a * a + b * b
     n2 = c * c + d * d
-    for _ in range(_MAX_REDUCE_IT):
-        if n1 > n2:
-            a, b, c, d, n1, n2 = c, d, a, b, n2, n1
-        mu = round((a * c + b * d) / n1)
-        if mu == 0:
-            break
-        c -= mu * a
-        d -= mu * b
-        n2 = c * c + d * d
-    else:
-        raise LatticeError("reduction did not terminate")  # pragma: no cover
-    if a * d - b * c < 0:
-        a, b, c, d = c, d, a, b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_REDUCE_IT):
+            swap = n1 > n2
+            a, b, c, d = _swap_rows(swap, a, b, c, d)
+            n1 = np.minimum(n1, n2)
+            mu = np.round((a * c + b * d) / n1)
+            if not np.isfinite(mu).all():
+                raise LatticeError("basis is degenerate or not finite")
+            done = mu == 0
+            idx = col[done]
+            ra[idx], rb[idx], rc[idx], rd[idx] = a[done], b[done], c[done], d[done]
+            keep = ~done
+            a, b, c, d, n1, mu, col = (v[keep] for v in (a, b, c, d, n1, mu, col))
+            if not col.size:
+                break
+            c = c - mu * a
+            d = d - mu * b
+            n2 = c * c + d * d
+        else:
+            raise LatticeError("reduction did not terminate")  # pragma: no cover
+    a, b, c, d = _swap_rows(ra * rd - rb * rc < 0, ra, rb, rc, rd)
     den = a * a + b * b
     x = (c * a + d * b) / den
     y = (d * a - c * b) / den
+    col = np.arange(size)
     for _ in range(64):
-        x -= math.floor(x + 0.5)
+        x = x - np.floor(x + 0.5)
         r2 = x * x + y * y
-        if r2 < 1.0 - 1e-15:
-            x, y = -x / r2, y / r2
-            continue
-        if r2 <= 1.0 + 1e-15 and x > 0:
-            x = -x
-        break
+        inside = r2 < 1.0 - 1e-15
+        out = ~inside
+        idx = col[out]
+        xo = x[out]
+        fx[idx] = np.where((r2[out] <= 1.0 + 1e-15) & (xo > 0), -xo, xo)
+        fy[idx] = y[out]
+        x, y, r2, col = x[inside], y[inside], r2[inside], col[inside]
+        if not col.size:
+            break
+        x, y = -x / r2, y / r2
     else:
         raise LatticeError("fundamental-domain reduction did not terminate")  # pragma: no cover
-    if x == 0.5:
-        x = -0.5
-    return x, y
+    fx[fx == 0.5] = -0.5
+    return fx, fy
+
+
+def fd_point_floats(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """Fundamental-domain point of the lattice with rows (a,b), (c,d), through the float kernel.
+
+    Agrees with to_fundamental_domain within float error. Bulk callers
+    such as stats.orbit_fd_histogram call the array kernel directly.
+    """
+    x, y = _fd_points(a, b, c, d)
+    return float(x[0]), float(y[0])
 
 
 def haar_fd_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,13 @@ Full sweeps run the Euclid kernel of arith over p in fixed-size chunks
 merged in ascending order, so results are deterministic down to the
 last bit for a given q and binning. They keep histograms only: the
 length statistics read a histogram of len(p/q), not one length per
-residue. Orbit points are binned exactly: the bin of B/A with nbins
+residue. Gauss-map points are binned exactly: the bin of B/A with nbins
 bins is (B * nbins) // A, never a float comparison.
+
+The lattice orbits of a seeded residue sample are read on a time grid.
+The fundamental-domain histogram sends all of their (residue, time)
+points through the array kernel of lattice in bounded chunks. Its cell
+weights are exact sums of 1/2 and 1, so they do not depend on the chunking.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import numpy as np
 from .arith import Modulus, _euclid_rounds, coprime_array, euler_phi, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
-from .lattice import fd_point_floats, haar_fd_sample
+from .lattice import _fd_points, haar_fd_sample
 
 DEFAULT_BINS = 256
 DIGIT_CAP = 64
@@ -35,6 +40,8 @@ ZETA2 = math.pi * math.pi / 6.0
 LEN_RATE = LN2 / ZETA2
 
 _CHUNK = 1 << 18
+#: orbit points per call of the fundamental-domain kernel, which bounds its temporaries
+_FD_CHUNK = 1 << 16
 
 #: smallest modulus the full sweeps (nu_bar, len_stats, dispersion, digit_one_frequency) accept
 SWEEP_Q_MIN = 3
@@ -246,6 +253,17 @@ def orbit_height_tail(x: ReducedFraction, M: float, dt: float) -> float:
     return float(np.sum(w * (lam2 * M * M <= 1.0)) / np.sum(w))
 
 
+def _residue_sample(q: int, sample_size: int, seed: int) -> np.ndarray:
+    """The coprime residues of q, or a sorted seeded subsample of sample_size of them."""
+    if sample_size < 1:
+        raise ValueError("sample-size must be >= 1")
+    residues = coprime_array(q)
+    if residues.size > sample_size:
+        rng = np.random.default_rng(seed)
+        residues = np.sort(rng.choice(residues, size=sample_size, replace=False))
+    return residues
+
+
 def averaged_height_tail(
     q: Union[int, Modulus],
     M: float,
@@ -255,10 +273,7 @@ def averaged_height_tail(
 ) -> float:
     """Mean of orbit_height_tail over a seeded subsample of the coprime residues."""
     qi = _q_int(q)
-    residues = coprime_array(qi)
-    if residues.size > sample_size:
-        rng = np.random.default_rng(seed)
-        residues = np.sort(rng.choice(residues, size=sample_size, replace=False))
+    residues = _residue_sample(qi, sample_size, seed)
     vals = [orbit_height_tail(ReducedFraction(int(p), qi), M, dt) for p in residues]
     return float(np.mean(vals))
 
@@ -414,28 +429,33 @@ def orbit_fd_histogram(
     sample_size: int = 600,
     seed: int = 0,
 ) -> FdHistogram:
-    """Fundamental-domain occupation histogram of the orbits of a residue subsample."""
+    """Fundamental-domain occupation histogram of the orbits of a residue subsample.
+
+    Every (residue, grid time) point goes through the array kernel of
+    lattice, at most _FD_CHUNK points per call. The weights are sums of
+    the trapezoid end weights 1/2 and 1, so they are exact.
+    """
+    if not 0 < dt <= 0.1:
+        raise ValueError("dt must lie in (0, 0.1]")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     qi = _q_int(q)
-    residues = coprime_array(qi)
-    if residues.size > sample_size:
-        rng = np.random.default_rng(seed)
-        residues = np.sort(rng.choice(residues, size=sample_size, replace=False))
+    residues = _residue_sample(qi, sample_size, seed)
     span = 2.0 * math.log(qi)
     n = max(1, int(math.ceil(span / dt)))
     ts = np.linspace(0.0, span, n + 1)
     half = np.exp(ts / 2.0)
     tw = np.ones(n + 1)
     tw[0] = tw[-1] = 0.5
-    weights = np.zeros((grid, grid))
-    for p in residues:
-        xf = int(p) / qi
-        xs = np.empty(n + 1)
-        vs = np.empty(n + 1)
-        for i in range(n + 1):
-            fx, fy = fd_point_floats(1.0 / half[i], xf * half[i], 0.0, half[i])
-            xs[i] = fx
-            vs[i] = 1.0 / fy
-        weights += _fd_accumulate(xs, vs, tw, grid)
+    xf = residues / qi
+    xs = np.empty((xf.size, n + 1))
+    ys = np.empty((xf.size, n + 1))
+    rows = max(1, _FD_CHUNK // (n + 1))
+    for lo in range(0, xf.size, rows):
+        fx, fy = _fd_points(1.0 / half, xf[lo : lo + rows, None] * half, 0.0, half)
+        xs[lo : lo + rows] = fx.reshape(-1, n + 1)
+        ys[lo : lo + rows] = fy.reshape(-1, n + 1)
+    weights = _fd_accumulate(xs.ravel(), 1.0 / ys.ravel(), np.tile(tw, xf.size), grid)
     return FdHistogram(grid, weights, fd_cell_masses(grid))
 
 

@@ -11,6 +11,7 @@ from cforbit.lattice import (
     LatticeBasis,
     LatticeError,
     SymmetryError,
+    _fd_points,
     dual_point,
     fd_point_floats,
     haar_fd_sample,
@@ -149,6 +150,20 @@ def test_float_fd_path_agrees_with_the_reference(x, t):
     # x is only pinned away from the boundary ties
     if abs(abs(gx) - 0.5) > 1e-7 and abs(gx * gx + gy * gy - 1) > 1e-7:
         assert fx == pytest.approx(gx, abs=1e-6)
+
+
+@given(st.lists(st.tuples(reduced_fractions(), st.floats(min_value=0.0, max_value=14.0)), min_size=2, max_size=40))
+def test_batched_fd_path_equals_the_per_point_results(points):
+    # columns of one batch finish in different rounds and are compacted away
+    e = np.exp(np.array([t for _, t in points]) / 2)
+    xf = np.array([x.p / x.q for x, _ in points])
+    bx, by = _fd_points(1.0 / e, xf * e, 0.0, e)
+    for i, (x, t) in enumerate(points):
+        assert (bx[i], by[i]) == fd_point_floats(1.0 / e[i], xf[i] * e[i], 0.0, e[i])
+        gx, gy, _ = to_fundamental_domain(orbit_point(x, t))
+        assert by[i] == pytest.approx(gy, rel=1e-6)
+        if abs(abs(gx) - 0.5) > 1e-7 and abs(gx * gx + gy * gy - 1) > 1e-7:
+            assert bx[i] == pytest.approx(gx, abs=1e-6)
 
 
 def test_haar_sample_region_and_mean_reciprocal_y():

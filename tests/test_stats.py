@@ -212,5 +212,26 @@ def test_orbit_histogram_smoke():
     assert math.isfinite(fd.discrepancy())
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(dt=-1.0), "dt must lie in"),
+        (dict(dt=0.0), "dt must lie in"),
+        (dict(dt=0.2), "dt must lie in"),
+        (dict(grid=0), "grid must be >= 2"),
+        (dict(grid=1), "grid must be >= 2"),
+        (dict(sample_size=0), "sample-size must be >= 1"),
+    ],
+)
+def test_orbit_histogram_rejects_bad_arguments(kw, message):
+    with pytest.raises(ValueError, match=message):
+        orbit_fd_histogram(1009, **kw)
+
+
+def test_averaged_height_tail_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="sample-size must be >= 1"):
+        averaged_height_tail(1009, 2.0, sample_size=0)
+
+
 def test_len_rate_constant_identity():
     assert LEN_RATE == pytest.approx(2 * math.log(2) * 3 / math.pi**2, abs=1e-15)
