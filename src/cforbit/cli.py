@@ -554,7 +554,7 @@ def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Row]:
 
 def _run_zaremba_height(cfg: ExperimentConfig) -> Iterator[Row]:
     for q in cfg.q or ():
-        r = height_bound_check(q, cfg.K, cfg.dt)
+        r = height_bound_check(q, cfg.K)
         yield {
             "q": r.q,
             "K": r.K,
@@ -602,10 +602,11 @@ class _SubSpec:
     params: Mapping[str, object]  # name -> default or _REQUIRED, in flag and echo order
     columns: tuple[str, ...]
     runner: Callable[[ExperimentConfig], Iterator[Row]]
+    version: int = 1  # bumped when a column changes meaning
 
     @property
     def schema(self) -> str:
-        return f"cforbit.{self.name}.v1"
+        return f"cforbit.{self.name}.v{self.version}"
 
 
 _SUBCOMMANDS: dict[str, _SubSpec] = {
@@ -691,9 +692,10 @@ _SUBCOMMANDS: dict[str, _SubSpec] = {
         _SubSpec(
             "zaremba-height",
             "orbit-height bound check over the bounded-digit members of q",
-            {"q": _REQUIRED, "K": _REQUIRED, "dt": 0.05},
+            {"q": _REQUIRED, "K": _REQUIRED},
             ("q", "K", "checked", "bound", "max_height", "argmax_t", "argmax_p"),
             _run_zaremba_height,
+            version=2,
         ),
         _SubSpec(
             "symmetry-check",

@@ -14,11 +14,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import dual_residue
+from .arith import _euclid_rounds, dual_residue
 from .cfe import ReducedFraction
 
 ExactMatrix = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -297,6 +297,29 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     return fx, fy
 
 
+def _excursions(q: int, ps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The excursions of the orbits of p/q toward the cusp, one Euclid round at a time.
+
+    Each round yields (idx, q_k, r_k) over the live columns: the index of
+    p in ps, the k-th continuant and the k-th Euclid divisor. The orbit
+    vector (q_k e^{-t/2}, (r_k/q) e^{t/2}) is shortest at e^t = q q_k/r_k,
+    where the height peaks at sqrt(q/(2 q_k r_k)), and it stays shorter
+    than 1/M for 2 arccosh(q/(2 M^2 q_k r_k)) time units. By Legendre's
+    theorem every primitive vector shorter than 1 is one of these, and a
+    unimodular lattice holds at most one such vector up to sign, so the
+    excursions above any M >= 1 are disjoint. The yielded arrays hold until
+    the next round.
+    """
+    n = ps.size
+    qs = np.full(n, q, dtype=np.int64)
+    rounds = _euclid_rounds(qs, ps, np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+    for _, b, d, _, (idx, qk1, qk) in rounds:
+        yield idx, qk, b
+        nxt = d * qk + qk1
+        qk1[:] = qk
+        qk[:] = nxt
+
+
 def fd_point_floats(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     """Fundamental-domain point of the lattice with rows (a,b), (c,d), through the float kernel.
 
@@ -313,6 +336,8 @@ def haar_fd_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     Rejection from the strip y > sqrt(3)/2 (proposal y = (sqrt(3)/2)/u with
     u uniform, x uniform in [-1/2, 1/2]); acceptance rate pi/(2 sqrt 3).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     got = 0

@@ -12,10 +12,13 @@ length statistics read a histogram of len(p/q), not one length per
 residue. Gauss-map points are binned exactly: the bin of B/A with nbins
 bins is (B * nbins) // A, never a float comparison.
 
-The lattice orbits of a seeded residue sample are read on a time grid.
-The fundamental-domain histogram sends all of their (residue, time)
-points through the array kernel of lattice in bounded chunks. Its cell
-weights are exact sums of 1/2 and 1, so they do not depend on the chunking.
+Orbit heights are exact: each excursion toward the cusp, its peak and
+its time above a height M are read in closed form off the Euclid chain
+(lattice._excursions). Only the fundamental-domain histogram (like
+lattice.orbit_samples) reads orbits on a time grid: the (residue, time)
+points of a seeded residue sample go through the array kernel of lattice
+in bounded chunks, and the cell weights are exact sums of 1/2 and 1, so
+they do not depend on the chunking.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import numpy as np
 from .arith import Modulus, _euclid_rounds, coprime_array, euler_phi, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
-from .lattice import _fd_points, haar_fd_sample
+from .lattice import _excursions, _fd_points, haar_fd_sample
 
 DEFAULT_BINS = 256
 DIGIT_CAP = 64
@@ -207,50 +210,23 @@ def digit_one_frequency(q: Union[int, Modulus], weighted: bool = True) -> float:
     return int(sd.digit_counts[1]) / sd.len_moment(1)
 
 
-def _convergent_norm_pairs(x: ReducedFraction) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (m, |m x - n|) over the candidate short vectors of the orbit lattices of x.
-
-    By best approximation, the vector of least norm m^2 e^{-t} + (mx-n)^2 e^t
-    always has m a convergent denominator of x (or m = 0, n = 1).
-    """
-    p, q = x.p, x.q
-    ms = [0, 1]
-    ds = [1.0, p / q]
-    pk1, pk = 1, 0
-    qk1, qk = 0, 1
-    a, b = q, p
-    while b:
-        d, r = divmod(a, b)
-        pk1, pk = pk, d * pk + pk1
-        qk1, qk = qk, d * qk + qk1
-        ms.append(qk)
-        ds.append(abs(qk * p - pk * q) / q)
-        a, b = b, r
-    return np.array(ms, dtype=np.float64), np.array(ds)
-
-
-def orbit_height_tail(x: ReducedFraction, M: float, dt: float) -> float:
-    """Fraction of the life span [0, 2 ln q] the orbit of x spends at height >= M.
-
-    Grid average with trapezoid end weights; the height at each grid
-    time comes from the exact candidate list of short vectors, not from
-    a generic reduction.
-    """
+def _height_tails(q: int, ps: np.ndarray, M: float) -> np.ndarray:
+    """Exact fraction of [0, 2 ln q] the orbit of each p/q in ps spends at height >= M."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not 0 < dt <= 0.1:
-        raise ValueError("dt must be in (0, 0.1]")
-    span = 2.0 * math.log(x.q)
-    n = max(1, int(math.ceil(span / dt)))
-    ts = np.linspace(0.0, span, n + 1)
-    ms, ds = _convergent_norm_pairs(x)
-    lam2 = np.min(
-        np.square(ms)[:, None] * np.exp(-ts)[None, :] + np.square(ds)[:, None] * np.exp(ts)[None, :],
-        axis=0,
-    )
-    w = np.ones(n + 1)
-    w[0] = w[-1] = 0.5
-    return float(np.sum(w * (lam2 * M * M <= 1.0)) / np.sum(w))
+    tails = np.zeros(ps.size)
+    for idx, qk, rk in _excursions(q, ps):
+        tails[idx] += np.arccosh(np.maximum(1.0, q / (2.0 * M * M * (qk * rk))))
+    return tails / math.log(q)
+
+
+def orbit_height_tail(x: ReducedFraction, M: float) -> float:
+    """Fraction of the life span [0, 2 ln q] the orbit of x spends at height >= M.
+
+    Exact: the excursions above M are disjoint, and the one of the k-th
+    convergent lasts 2 arccosh(q / (2 M^2 q_k r_k)) (see lattice._excursions).
+    """
+    return float(_height_tails(x.q, np.array([x.p], dtype=np.int64), M)[0])
 
 
 def _residue_sample(q: int, sample_size: int, seed: int) -> np.ndarray:
@@ -267,15 +243,12 @@ def _residue_sample(q: int, sample_size: int, seed: int) -> np.ndarray:
 def averaged_height_tail(
     q: Union[int, Modulus],
     M: float,
-    dt: float = 0.05,
     sample_size: int = 2000,
     seed: int = 0,
 ) -> float:
     """Mean of orbit_height_tail over a seeded subsample of the coprime residues."""
     qi = _q_int(q)
-    residues = _residue_sample(qi, sample_size, seed)
-    vals = [orbit_height_tail(ReducedFraction(int(p), qi), M, dt) for p in residues]
-    return float(np.mean(vals))
+    return float(np.mean(_height_tails(qi, _residue_sample(qi, sample_size, seed), M)))
 
 
 def haar_height_tail(rng: np.random.Generator, n: int, M: float) -> float:
@@ -461,6 +434,8 @@ def orbit_fd_histogram(
 
 def haar_fd_histogram(rng: np.random.Generator, n: int, grid: int = 24) -> FdHistogram:
     """Reference histogram of haar_sample points on the same cells."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     xs, ys = haar_fd_sample(rng, n)
     weights = _fd_accumulate(xs, 1.0 / ys, np.ones(n), grid)
     return FdHistogram(grid, weights, fd_cell_masses(grid))

@@ -11,7 +11,8 @@ tree through the continuant recursion q_{k+1} = a*q_k + q_{k-1}, and a
 direct digit filter, one run of the Euclid kernel of arith over the
 coprime pairs p/q, kept as the oracle. Orbits of members must stay below
 height sqrt(2)*(K+1)^{3/2} over their whole lifetime; height_bound_check
-measures that.
+checks that against the exact largest height, read in closed form from
+the Euclid chains of the members, with no time grid.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .arith import _euclid_rounds, coprime_array, dual_residue
-from .cfe import ReducedFraction
 from .gaussmeasure import LN2
-from .stats import _convergent_norm_pairs
+from .lattice import _excursions
 
 # pairs per kernel run in the brute-force census: small enough that the
 # live columns stay in cache (the sweeps' 2^18 ran the Q = 10^4 census
@@ -245,7 +245,6 @@ class HeightBoundError(AssertionError):
 class HeightBoundReport:
     q: int
     K: int
-    dt: float
     bound: float
     checked: int
     max_height: float
@@ -253,44 +252,40 @@ class HeightBoundReport:
     argmax_p: int
 
 
-def height_bound_check(q: int, K: int, dt: float = 0.05) -> HeightBoundReport:
-    """Grid-sample orbit heights of every level-K member of q against the bound.
+def height_bound_check(q: int, K: int) -> HeightBoundReport:
+    """Exact largest orbit height over every level-K member of q, against the bound.
 
-    The lifetime grid covers t in [0, 2 ln q]; heights come from the
-    exact candidate list of short vectors. The first sample above
-    sqrt(2)*(K+1)^{3/2} raises with the witness (p, t, ht); otherwise
-    the report carries the largest height seen and where it happened.
+    The orbit of p/q peaks at height sqrt(q / (2 q_k r_k)) at time
+    ln(q q_k / r_k) for each convergent (see lattice._excursions), so
+    the maximum over the members is read from one Euclid-kernel run at
+    the least q_k r_k; ties go to the smallest p, then the earliest time.
+    A maximum above sqrt(2)*(K+1)^{3/2} raises with the witness
+    (p, t, ht); otherwise the report carries it.
     """
     if not 2 <= q <= 10**6:
         raise ValueError("q must lie in [2, 10^6]")
-    if not 0 < dt <= 0.1:
-        raise ValueError("dt must be in (0, 0.1]")
     bound = math.sqrt(2.0) * (K + 1) ** 1.5
-    span = 2.0 * math.log(q)
-    n = max(1, int(math.ceil(span / dt)))
-    ts = np.linspace(0.0, span, n + 1)
-    grow = np.exp(ts)
-    decay = np.exp(-ts)
     ps = members(q, K)
-    best = 0.0
-    best_t = 0.0
-    best_p = 0
-    for p in ps:
-        ms, ds = _convergent_norm_pairs(ReducedFraction(int(p), q))
-        lam2 = np.min(
-            np.square(ms)[:, None] * decay[None, :] + np.square(ds)[:, None] * grow[None, :],
-            axis=0,
+    if not ps.size:
+        return HeightBoundReport(q, K, bound, 0, 0.0, 0.0, 0)
+    # (q_k r_k, index of p, q_k, r_k) orders as the tie rule: at one product
+    # and one p, the smaller q_k is the earlier time; argmin takes the first
+    # live column, which has the smallest p
+    least = (q * q, 0, 0, 0)
+    for idx, qk, rk in _excursions(q, ps):
+        prod = qk * rk
+        i = int(np.argmin(prod))
+        least = min(least, (int(prod[i]), int(idx[i]), int(qk[i]), int(rk[i])))
+    prod, i, qk, rk = least
+    best = math.sqrt(q / (2.0 * prod))
+    best_t = math.log(q * qk / rk)
+    best_p = int(ps[i])
+    if best > bound:
+        raise HeightBoundError(
+            f"p={best_p}, t={best_t:.6f}, ht={best:.6f} exceeds "
+            f"bound {bound:.6f} at K={K}, q={q}"
         )
-        i = int(np.argmin(lam2))
-        ht = 1.0 / math.sqrt(lam2[i])
-        if ht > best:
-            best, best_t, best_p = ht, float(ts[i]), int(p)
-            if best > bound:
-                raise HeightBoundError(
-                    f"p={best_p}, t={best_t:.6f}, ht={best:.6f} exceeds "
-                    f"bound {bound:.6f} at K={K}, q={q}"
-                )
-    return HeightBoundReport(q, K, dt, bound, int(ps.size), best, best_t, best_p)
+    return HeightBoundReport(q, K, bound, int(ps.size), best, best_t, best_p)
 
 
 def dual_closure_fraction(q: int, K: int) -> float:

@@ -238,6 +238,17 @@ def test_sweeps_check_every_q_before_any_output(sub, capsys, tmp_path):
     assert main([sub, "--q", "3", "--threads", "1"]) == 0
 
 
+def test_zaremba_height_takes_no_time_step(capsys, tmp_path):
+    assert main(["zaremba-height", "--q", "101", "--K", "2", "--dt", "0.1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "unrecognized arguments: --dt 0.1" in err[-2]
+    assert json.loads(err[-1]) == {"error": "config", "message": "invalid command line"}
+    path = tmp_path / "run.cfg"
+    path.write_text("q=101\nK=2\ndt=0.1\n")
+    with pytest.raises(ConfigError, match="config key 'dt' is not a zaremba-height parameter"):
+        capture(["zaremba-height", "--config", str(path), "--threads", "1"])
+
+
 def test_main_invariant_failures_exit_2(capsys, monkeypatch):
     spec = _SUBCOMMANDS["kappa"]
 

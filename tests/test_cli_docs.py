@@ -15,8 +15,8 @@ from cforbit.cli import _COMMON, _SUBCOMMANDS, _flag, main
 ROOT = Path(__file__).resolve().parent.parent
 
 # the subcommand's own flags, as `cforbit <sub> --help` listed them before
-# the parameters were declared in one table; every subcommand also takes
-# the common flags below
+# the parameters were declared in one table, less the --dt of zaremba-height,
+# whose heights are now exact; every subcommand also takes the common flags below
 OWN_FLAGS = {
     "cfe": {"--p", "--q"},
     "sweep-len": {"--q", "--bins"},
@@ -29,7 +29,7 @@ OWN_FLAGS = {
     "fd-hist": {"--q", "--dt", "--grid", "--sample-size"},
     "haar-selftest": {"--n", "--grid"},
     "zaremba-census": {"--q-max", "--K"},
-    "zaremba-height": {"--q", "--K", "--dt"},
+    "zaremba-height": {"--q", "--K"},
     "symmetry-check": {"--q-max"},
 }
 COMMON_FLAGS = {"--config", "--seed", "--threads", "--output", "--format"}

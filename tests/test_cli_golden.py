@@ -28,7 +28,7 @@ CASES = {
     "fd-hist": "--q 101 --dt 0.1 --grid 6 --sample-size 20 --seed 3",
     "haar-selftest": "--n 5000 --grid 6 --seed 1",
     "zaremba-census": "--q-max 200 --K 2",
-    "zaremba-height": "--q 101,211 --K 2 --dt 0.1",
+    "zaremba-height": "--q 101,211 --K 2",
     "symmetry-check": "--q-max 60",
 }
 

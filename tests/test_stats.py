@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cforbit.cfe import DigitHistogram, ReducedFraction
+from cforbit.cfe import DigitHistogram, ReducedFraction, cfe_len
 from cforbit.lattice import height, orbit_point
 from cforbit.stats import (
     LEN_RATE,
@@ -112,27 +112,35 @@ def test_digit_one_frequency_variants():
 
 
 def test_orbit_height_tail_value_and_validation():
-    assert orbit_height_tail(ReducedFraction(5, 8), 1.0, 0.05) == 0.7797619047619048
+    assert orbit_height_tail(ReducedFraction(5, 8), 1.0) == 0.7649798710680611
     with pytest.raises(ValueError):
-        orbit_height_tail(ReducedFraction(5, 8), 0.9, 0.05)
-    with pytest.raises(ValueError):
-        orbit_height_tail(ReducedFraction(5, 8), 2.0, 0.2)
+        orbit_height_tail(ReducedFraction(5, 8), 0.9)
+
+
+@pytest.mark.parametrize("q, M", [(7, 1.0), (101, 1.5), (1009, 2.0), (10**6 + 3, 3.5)])
+def test_orbit_height_tail_of_one_over_q_is_one_excursion(q, M):
+    # 1/q = [q] makes one Euclid round, with q_0 = r_0 = 1: a single excursion
+    want = math.acosh(q / (2 * M * M)) / math.log(q)
+    assert orbit_height_tail(ReducedFraction(1, q), M) == pytest.approx(want, rel=1e-14)
 
 
 def test_orbit_height_tail_matches_generic_reduction():
-    # same grid, heights from the generic basis reduction instead of the candidate list
-    x, M, dt = ReducedFraction(3, 7), 1.2, 0.05
-    span = 2 * math.log(x.q)
-    n = max(1, math.ceil(span / dt))
-    ts = np.linspace(0.0, span, n + 1)
-    w = np.ones(n + 1)
-    w[0] = w[-1] = 0.5
-    ind = np.array([1.0 if height(orbit_point(x, float(t))) >= M else 0.0 for t in ts])
-    assert orbit_height_tail(x, M, dt) == float(np.sum(w * ind) / np.sum(w))
+    # trapezoid grid over [0, 2 ln q] with heights from the generic basis
+    # reduction; each of the at most len(x) excursions moves it by <= dt
+    dt = 1e-3
+    for x, M in ((ReducedFraction(3, 7), 1.2), (ReducedFraction(5, 8), 1.0), (ReducedFraction(13, 31), 1.1)):
+        span = 2 * math.log(x.q)
+        n = max(1, math.ceil(span / dt))
+        ts = np.linspace(0.0, span, n + 1)
+        w = np.ones(n + 1)
+        w[0] = w[-1] = 0.5
+        ind = np.array([1.0 if height(orbit_point(x, float(t))) >= M else 0.0 for t in ts])
+        grid = float(np.sum(w * ind) / np.sum(w))
+        assert abs(orbit_height_tail(x, M) - grid) <= (cfe_len(x) + 1) * dt / span
 
 
 def test_averaged_height_tail_is_deterministic():
-    assert averaged_height_tail(1009, 2.0) == 0.1873388344507478
+    assert averaged_height_tail(1009, 2.0) == 0.18715997277417235
 
 
 def test_haar_height_tail_near_closed_form():
@@ -226,6 +234,20 @@ def test_orbit_histogram_smoke():
 def test_orbit_histogram_rejects_bad_arguments(kw, message):
     with pytest.raises(ValueError, match=message):
         orbit_fd_histogram(1009, **kw)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: haar_fd_histogram(rng, 100, grid=1), "grid must be >= 2"),
+        (lambda rng: haar_fd_histogram(rng, 100, grid=0), "grid must be >= 2"),
+        (lambda rng: haar_fd_histogram(rng, 0), "n must be >= 1"),
+        (lambda rng: haar_height_tail(rng, 0, 2.0), "n must be >= 1"),
+    ],
+)
+def test_haar_references_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(0))
 
 
 def test_averaged_height_tail_rejects_an_empty_sample():

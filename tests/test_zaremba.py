@@ -88,13 +88,29 @@ def test_height_bound_reports():
     assert isinstance(rep, HeightBoundReport)
     assert rep.checked == 2
     assert rep.bound == pytest.approx(math.sqrt(2) * 3**1.5, abs=1e-12)
-    assert rep.max_height == 1.117864714040945
+    # 2/5 and 3/5 both peak at sqrt(5/4), 2/5 twice: the tie goes to the
+    # smallest p, then to the earlier time ln(5 * 1/2) over ln(5 * 2/1)
+    assert rep.max_height == math.sqrt(5 / 4)
     assert rep.argmax_p == 2
-    assert rep.argmax_t == 0.9409021641922433
+    assert rep.argmax_t == math.log(5 / 2)
+    # 3/7 and 5/7 tie at sqrt(7/4) in the same round, 4/7 one round later
+    rep = height_bound_check(7, 2)
+    assert (rep.checked, rep.argmax_p) == (3, 3)
+    assert (rep.max_height, rep.argmax_t) == (math.sqrt(7 / 4), math.log(14))
     rep = height_bound_check(8, 1)
     assert (rep.checked, rep.argmax_p) == (1, 5)
-    assert rep.max_height == 1.154675134680248
+    assert rep.max_height == 1.1547005383792515
+    assert rep.argmax_t == 0.9808292530117262
     assert issubclass(HeightBoundError, AssertionError)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_height_bound_maximum_in_closed_form(K):
+    # (K+1)/(K+2) = [1, K+1] has q_1 = r_1 = 1: the highest possible peak
+    rep = height_bound_check(K + 2, K)
+    assert rep.max_height == math.sqrt((K + 2) / 2)
+    assert rep.argmax_p == K + 1
+    assert rep.argmax_t == math.log(K + 2)
 
 
 def test_height_bound_validation():
@@ -102,10 +118,6 @@ def test_height_bound_validation():
         height_bound_check(1, 1)
     with pytest.raises(ValueError):
         height_bound_check(10**6 + 1, 1)
-    with pytest.raises(ValueError):
-        height_bound_check(5, 2, dt=0.2)
-    with pytest.raises(ValueError):
-        height_bound_check(5, 2, dt=0.0)
 
 
 def test_dual_closure_is_measured_not_asserted():
