@@ -21,10 +21,13 @@ import mpmath
 import numpy as np
 
 from .cfe import ReducedFraction
+from .lattice import _FD_CHUNK, _fd_rounds
 
 Coord = Union[Fraction, float]
 
 _FLOAT_DOMAIN_TOL = 1e-12
+#: largest modulus the numeric detector accepts (see detect_events_numeric)
+_DETECT_Q_MAX = 10**7
 
 
 class DegenerateStartError(ValueError):
@@ -145,7 +148,7 @@ def crossing_sequence(x: ReducedFraction) -> list[CrossingRecord]:
 
 @dataclass(frozen=True)
 class NumericEvent:
-    """One axis crossing found by the marching detector.
+    """One axis crossing found by the numeric detector.
 
     Endpoints are exact rationals, so the section membership test has no
     tolerance. boundary marks the structural graze with |alpha| = 1
@@ -177,73 +180,77 @@ def _classify_event(a: int, b: int, c: int, d: int, p: int, q: int) -> Optional[
     return pt, abs(alpha) == 1
 
 
+def _image_re(a, b, c, d, xf: float, u):
+    """Re of the Moebius image (a z + b) / (c z + d) of the points z = xf + i u."""
+    cxd = c * xf + d
+    den = cxd * cxd + (c * u) * (c * u)
+    return ((a * xf + b) * cxd + a * c * u * u) / den
+
+
+def _fd_words(xf: float, u: np.ndarray) -> list[np.ndarray]:
+    """Columns a, b, c, d of the words that walk the points xf + i u into the fundamental domain."""
+    words = [np.empty(u.size, dtype=np.int64) for _ in range(4)]
+    start = (np.full(u.size, v, dtype=np.int64) for v in (1, 0, 0, 1))
+    rounds = _fd_rounds(np.full(u.size, xf), u, np.arange(u.size), *start)
+    for k, (_, _, _, n, out, (col, a, b, c, d)) in enumerate(rounds):
+        if k:  # the walk applied S, z -> -1/z, to every live column
+            a[:], b[:], c[:], d[:] = -c, -d, a.copy(), b.copy()
+        n = n.astype(np.int64)
+        a -= n * c
+        b -= n * d
+        for w, v in zip(words, (a, b, c, d)):
+            w[col[out]] = v[out]
+    return words
+
+
 def detect_events_numeric(x: ReducedFraction, dt: float) -> list[NumericEvent]:
-    """All section-set touches of the orbit of x, found by marching the geodesic.
+    """All section-set touches of the orbit of x, found on a time grid of the geodesic.
 
-    Marches the vertical geodesic ending at x in steps of dt over
-    [0, 2 ln q], keeping a unimodular word gamma that holds the current
-    point inside the fundamental domain. A sign change of Re(gamma(point))
-    across a step flags a candidate; it counts when the exact rational
-    endpoints of gamma (or of S gamma, the other representative on the
-    unit circle) satisfy the section's endpoint inequalities, and the
-    reported time is the closed-form root of Re = 0, not the step time.
-    Events on the exact domain boundary are returned flagged, never
-    dropped silently.
+    Walks every point xf + i e^{-i dt}, 0 <= i <= (2 ln q + 0.25)/dt, of the
+    vertical geodesic ending at x from the identity into the fundamental
+    domain (lattice._fd_rounds, in chunks of lattice._FD_CHUNK points that
+    overlap by one), which gives the unimodular word gamma_i of each point.
+    A sign change of Re(gamma_{i-1}(point)) between steps i-1 and i flags a
+    candidate; it counts when the exact rational endpoints of gamma_{i-1}
+    (or of S gamma_{i-1}, the other representative on the unit circle)
+    satisfy the section's endpoint inequalities, and the reported time is
+    the closed-form root of Re = 0, not the step time. Events on the exact
+    domain boundary are returned flagged, never dropped silently.
 
-    Accepts any 0 < x < 1 including the degenerate starts; x = 1/2
-    yields no crossings. Used as an oracle for crossing_sequence.
+    Accepts any 0 < x < 1 with q <= 10^7, including the degenerate starts;
+    x = 1/2 yields no crossings. The grid ends at u ~ 0.78/q^2, which must
+    stay far above the ~1e-16 float error of p/q; past q ~ 10^8 crossings
+    are silently lost, so larger q raise ValueError. Used as an oracle for
+    crossing_sequence.
     """
     if not 0 < dt <= 1e-3:
         raise ValueError("dt must be in (0, 1e-3]")
     p, q = x.p, x.q
+    if q > _DETECT_Q_MAX:
+        raise ValueError(f"q must be <= {_DETECT_Q_MAX}: the float grid cannot resolve the end of the orbit")
     xf = p / q
-    t_end = 2.0 * math.log(q) + 0.25
-    n_steps = int(math.ceil(t_end / dt))
-    a, b, c, d = 1, 0, 0, 1
-
-    def image_re(u: float) -> float:
-        cxd = c * xf + d
-        den = cxd * cxd + (c * u) * (c * u)
-        return ((a * xf + b) * cxd + a * c * u * u) / den
-
-    wr = image_re(1.0)
+    n_steps = int(math.ceil((2.0 * math.log(q) + 0.25) / dt))
     events: list[NumericEvent] = []
-    for i in range(n_steps + 1):
-        if i > 0:
-            u = math.exp(-i * dt)
-            wr2 = image_re(u)
-            if wr * wr2 < 0.0:
-                for ha, hb, hc, hd in ((a, b, c, d), (-c, -d, a, b)):
-                    got = _classify_event(ha, hb, hc, hd, p, q)
-                    if got is None:
-                        continue
-                    u2 = -Fraction((ha * p + hb * q) * (hc * p + hd * q), ha * hc * q * q)
-                    if u2 > 0:
-                        tc = -0.5 * (math.log(u2.numerator) - math.log(u2.denominator))
-                        # one crossing can flag under both gamma and S gamma on
-                        # adjacent steps; their closed-form times are identical
-                        if not events or tc != events[-1].t:
-                            events.append(NumericEvent(tc, got[0], got[1]))
-                    break
-            wr = wr2
-        else:
-            u = 1.0
-        # pull gamma(point) back into the fundamental domain for the next step
-        for _ in range(200):
-            n = math.floor(wr + 0.5)
-            if n != 0:
-                a, b = a - n * c, b - n * d
-                wr -= n
-            cxd = c * xf + d
-            den = cxd * cxd + (c * u) * (c * u)
-            wi = u / den
-            if wr * wr + wi * wi < 1.0 - 1e-15:
-                a, b, c, d = -c, -d, a, b
-                wr = image_re(u)
-            else:
+    for lo in range(0, n_steps, _FD_CHUNK - 1):
+        u = np.exp(-np.arange(lo, min(lo + _FD_CHUNK - 1, n_steps) + 1) * dt)
+        # Below _DETECT_Q_MAX the word entries stay near q and their products
+        # below about q^2, so the int64 columns cannot overflow.
+        a, b, c, d = _fd_words(xf, u)
+        w = (a[:-1], b[:-1], c[:-1], d[:-1])
+        for i in np.flatnonzero(_image_re(*w, xf, u[:-1]) * _image_re(*w, xf, u[1:]) < 0.0):
+            a0, b0, c0, d0 = int(a[i]), int(b[i]), int(c[i]), int(d[i])
+            for ha, hb, hc, hd in ((a0, b0, c0, d0), (-c0, -d0, a0, b0)):
+                got = _classify_event(ha, hb, hc, hd, p, q)
+                if got is None:
+                    continue
+                u2 = -Fraction((ha * p + hb * q) * (hc * p + hd * q), ha * hc * q * q)
+                if u2 > 0:
+                    tc = -0.5 * (math.log(u2.numerator) - math.log(u2.denominator))
+                    # one crossing can flag under both gamma and S gamma on
+                    # adjacent steps; their closed-form times are identical
+                    if not events or tc != events[-1].t:
+                        events.append(NumericEvent(tc, got[0], got[1]))
                 break
-        else:
-            raise RuntimeError("fundamental-domain reduction stalled")  # pragma: no cover
     return events
 
 

@@ -24,6 +24,8 @@ from .cfe import ReducedFraction
 ExactMatrix = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 _MAX_REDUCE_IT = 100000  # in practice a handful of steps suffice
+#: points per call of the fundamental-domain walk, which bounds its temporaries
+_FD_CHUNK = 1 << 16
 
 
 class LatticeError(Exception):
@@ -182,6 +184,7 @@ def verify_symmetry(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
         (gamma[1][0], gamma[1][0] * p * q + gamma[1][1] * q * q),
     )
     want = ((q, 0), (-pp, q))
+    # cannot fire: q*qp - p*pp = 1 by the choice of qp, and both products then agree term by term
     if det != 1 or prod != want:  # pragma: no cover
         residual = tuple(
             tuple(Fraction(prod[i][j] - want[i][j], q) for j in range(2))
@@ -236,14 +239,36 @@ def _swap_rows(m: np.ndarray, a, b, c, d) -> tuple[np.ndarray, ...]:
     return np.where(m, c, a), np.where(m, d, b), np.where(m, a, c), np.where(m, b, d)
 
 
+def _fd_rounds(x, y, *carry) -> Iterator[tuple[np.ndarray, ...]]:
+    """The nearest-integer T/S walk of the points x + iy into the fundamental domain, one round at a time.
+
+    Each round translates x by the nearest integer n and yields (x, y, r2, n, out, carry) over the
+    live columns; out marks the columns that are done, r2 = x^2 + y^2 >= 1 - 1e-15. It then drops
+    them from x, y and every carried array by one mask, and inverts the rest (z -> -1/z). The caller
+    may update the carried arrays in place before the next round.
+    """
+    for _ in range(64):
+        n = np.floor(x + 0.5)
+        x = x - n
+        r2 = x * x + y * y
+        keep = r2 < 1.0 - 1e-15
+        yield x, y, r2, n, ~keep, carry
+        x, y, r2, *carry = (v[keep] for v in (x, y, r2, *carry))
+        if not x.size:
+            return
+        x, y = -x / r2, y / r2
+    # cannot fire: a point with y >= 1e-15 reaches the domain in about 20 rounds (Fibonacci ratios are worst)
+    raise LatticeError("fundamental-domain reduction did not terminate")  # pragma: no cover
+
+
 def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     """Fundamental-domain points (x, y) of the lattices with rows (a, b), (c, d), one per column.
 
     The arguments broadcast to one shape and the results come out flat.
     Each column goes through the float operations of a scalar Gauss
-    reduction (round half to even) and T/S walk, in the same order, so
-    its result does not depend on the batch it runs in. Finished columns
-    are dropped by a keep mask after every round.
+    reduction (round half to even) and the walk of _fd_rounds, in the
+    same order, so its result does not depend on the batch it runs in.
+    Finished columns are dropped by a keep mask after every round.
     """
     a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
     size = a.size
@@ -272,27 +297,17 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
             d = d - mu * b
             n2 = c * c + d * d
         else:
+            # cannot fire: Gauss reduction of finite rows ends in O(log of their length ratio) rounds
             raise LatticeError("reduction did not terminate")  # pragma: no cover
     a, b, c, d = _swap_rows(ra * rd - rb * rc < 0, ra, rb, rc, rd)
     den = a * a + b * b
     x = (c * a + d * b) / den
     y = (d * a - c * b) / den
-    col = np.arange(size)
-    for _ in range(64):
-        x = x - np.floor(x + 0.5)
-        r2 = x * x + y * y
-        inside = r2 < 1.0 - 1e-15
-        out = ~inside
+    for x, y, r2, _, out, (col,) in _fd_rounds(x, y, np.arange(size)):
         idx = col[out]
         xo = x[out]
         fx[idx] = np.where((r2[out] <= 1.0 + 1e-15) & (xo > 0), -xo, xo)
         fy[idx] = y[out]
-        x, y, r2, col = x[inside], y[inside], r2[inside], col[inside]
-        if not col.size:
-            break
-        x, y = -x / r2, y / r2
-    else:
-        raise LatticeError("fundamental-domain reduction did not terminate")  # pragma: no cover
     fx[fx == 0.5] = -0.5
     return fx, fy
 
@@ -323,8 +338,9 @@ def _excursions(q: int, ps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray
 def fd_point_floats(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     """Fundamental-domain point of the lattice with rows (a,b), (c,d), through the float kernel.
 
-    Agrees with to_fundamental_domain within float error. Bulk callers
-    such as stats.orbit_fd_histogram call the array kernel directly.
+    Agrees with to_fundamental_domain within float error. Bulk callers call
+    the array kernels directly: stats.orbit_fd_histogram calls _fd_points,
+    the crossing detector _fd_rounds.
     """
     x, y = _fd_points(a, b, c, d)
     return float(x[0]), float(y[0])

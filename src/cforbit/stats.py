@@ -34,7 +34,7 @@ import numpy as np
 from .arith import Modulus, _euclid_rounds, coprime_array, euler_phi, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
-from .lattice import _excursions, _fd_points, haar_fd_sample
+from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
 
 DEFAULT_BINS = 256
 DIGIT_CAP = 64
@@ -43,8 +43,6 @@ ZETA2 = math.pi * math.pi / 6.0
 LEN_RATE = LN2 / ZETA2
 
 _CHUNK = 1 << 18
-#: orbit points per call of the fundamental-domain kernel, which bounds its temporaries
-_FD_CHUNK = 1 << 16
 
 #: smallest modulus the full sweeps (nu_bar, len_stats, dispersion, digit_one_frequency) accept
 SWEEP_Q_MIN = 3

@@ -123,6 +123,9 @@ def test_detector_validation_and_degenerate_inputs():
     with pytest.raises(ValueError):
         detect_events_numeric(ReducedFraction(2, 5), 0.01)
     assert detect_crossings_numeric(ReducedFraction(1, 2), 1e-3) == []
+    # past q = 10^7 the grid's end falls below what floats resolve of p/q
+    with pytest.raises(ValueError, match="q must be <="):
+        detect_events_numeric(ReducedFraction(314159265, 10**9 + 7), 1e-3)
 
 
 def test_detector_matches_symbolic_path():
@@ -133,6 +136,9 @@ def test_detector_matches_symbolic_path():
         p = int(rng.integers(2, q - 1))
         if math.gcd(p, q) == 1:
             cases.append((p, q))
+    # the scalar march that preceded the array walk stalled on these; the
+    # last is a Fibonacci ratio, the worst case for the nearest-integer walk
+    cases += [(760940, 3000017), (5669773, 9999991), (5702887, 9227465)]
     for (p, q) in cases:
         x = ReducedFraction(p, q)
         recs = crossing_sequence(x)
