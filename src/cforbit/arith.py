@@ -128,10 +128,10 @@ def _euclid_rounds(
 
     Each round yields (a, b, d, r, carry) over the live columns, with
     d, r = divmod(a, b). Round k is the k-th digit of b/a, and a
-    column ends in the round where r hits 0. After the yield the ended
-    columns are dropped from a, b and every carried array (per-column
-    state such as weights or indices, which the caller may update in
-    place) by the same mask.
+    column ends in the round where r hits 0; setting r to 0 ends a
+    column early. After the yield the ended columns are dropped from a,
+    b and every carried array (per-column state such as weights or
+    indices, which the caller may update in place) by the same mask.
     """
     while b.size:
         d, r = np.divmod(a, b)

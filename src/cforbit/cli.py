@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -34,7 +35,7 @@ from .stats import (
     mass_escape_count,
     orbit_fd_histogram,
 )
-from .zaremba import enumerate_bounded, height_bound_check
+from .zaremba import ZarembaCensus, enumerate_bounded, height_bound_check
 
 
 class ConfigError(ValueError):
@@ -537,15 +538,11 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
 
 def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Row]:
     assert cfg.q_max is not None and cfg.K is not None
-    branches = range(1, cfg.K + 2)
     if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, cfg.K + 1)) as pool:
-            parts = list(
-                pool.map(lambda a: enumerate_bounded(cfg.q_max, cfg.K, a), branches)
-            )
-        census = parts[0]
-        for part in parts[1:]:
-            census = census.merge(part)
+        branches = range(1, min(cfg.K + 1, cfg.q_max) + 1)
+        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(branches))) as pool:
+            parts = pool.map(lambda a: enumerate_bounded(cfg.q_max, cfg.K, a), branches)
+            census = reduce(ZarembaCensus.merge, parts)
     else:
         census = enumerate_bounded(cfg.q_max, cfg.K)
     for q, relaxed, strict in census.rows():

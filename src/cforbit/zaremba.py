@@ -8,11 +8,13 @@ count additionally caps the last canonical digit at K.
 
 Censuses are built two independent ways: a pruned walk of the digit
 tree through the continuant recursion q_{k+1} = a*q_k + q_{k-1}, and a
-direct digit filter, one run of the Euclid kernel of arith over the
-coprime pairs p/q, kept as the oracle. Orbits of members must stay below
-height sqrt(2)*(K+1)^{3/2} over their whole lifetime; height_bound_check
-checks that against the exact largest height, read in closed form from
-the Euclid chains of the members, with no time grid.
+direct digit filter kept as the oracle: one Euclid-kernel run of arith
+reads the level of each coprime pair p/q, max(interior digits, last - 1)
+relaxed or max(digits) strict, and ends a chain once a digit passes the
+largest bound; p is a member when its level is at most K. Orbits of
+members must stay below height sqrt(2)*(K+1)^{3/2} over their whole
+lifetime; height_bound_check checks that against the exact largest
+height, read in closed form from the Euclid chains of the members.
 """
 from __future__ import annotations
 
@@ -90,11 +92,11 @@ def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> Zare
 
     Walks the digit tree breadth-first over (q_{k-1}, q_k) states,
     closing each state with final digits 2..K+1 and extending it with
-    interior digits 1..K. A state is pruned once even the cheapest
-    closure (final digit 2) overshoots Q, so the walk touches each
-    admissible word exactly once. first_digit restricts the walk to a
-    single first-digit branch; merging the branches recovers the full
-    census.
+    interior digits 1..K, none past Q (no digit of p/q exceeds q). A
+    state is pruned once even the cheapest closure (final digit 2)
+    overshoots Q, so the walk touches each admissible word exactly once.
+    first_digit restricts the walk to a single first-digit branch;
+    merging the branches recovers the full census.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -102,20 +104,15 @@ def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> Zare
         raise ValueError("Q must be >= 2")
     if first_digit is not None and not 1 <= first_digit <= K + 1:
         raise ValueError(f"first digit must lie in [1, {K + 1}]")
-    branch = range(1, K + 2) if first_digit is None else (first_digit,)
+    digits = range(1, min(K + 1, Q) + 1)
+    first = digits if first_digit is None else (first_digit,)
+    closing, extending = [a for a in first if a >= 2], [a for a in first if a <= K]
     relaxed = np.zeros(Q + 1, dtype=np.int64)
     strict = np.zeros(Q + 1, dtype=np.int64)
-    # single-digit words [a] have q = a and no interior digits
-    for a in branch:
-        if 2 <= a <= Q:
-            relaxed[a] += 1
-            if a <= K:
-                strict[a] += 1
-    firsts = [a for a in branch if a <= K and 2 * a + 1 <= Q]
-    prev = np.ones(len(firsts), dtype=np.int64)
-    cur = np.array(firsts, dtype=np.int64)
+    # the walk starts at the empty word, (q_{-1}, q_0) = (0, 1)
+    prev, cur = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     while cur.size:
-        for a in range(2, K + 2):
+        for a in closing:
             qs = a * cur + prev
             inside = qs <= Q
             if inside.any():
@@ -123,43 +120,44 @@ def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> Zare
                 relaxed += hits
                 if a <= K:
                     strict += hits
-        nxt_prev = []
-        nxt_cur = []
-        for a in range(1, K + 1):
+        nxt_prev, nxt_cur = [cur[:0]], [cur[:0]]  # empty seeds: branch K+1 extends nothing
+        for a in extending:
             nc = a * cur + prev
             alive = 2 * nc + cur <= Q
-            if alive.any():
-                nxt_prev.append(cur[alive])
-                nxt_cur.append(nc[alive])
-        prev = np.concatenate(nxt_prev) if nxt_prev else np.empty(0, dtype=np.int64)
-        cur = np.concatenate(nxt_cur) if nxt_cur else np.empty(0, dtype=np.int64)
-    return _from_tallies(K, Q, relaxed, strict)
+            nxt_prev.append(cur[alive])
+            nxt_cur.append(nc[alive])
+        prev, cur = np.concatenate(nxt_prev), np.concatenate(nxt_cur)
+        closing, extending = digits[1:], digits[:K]
+    return ZarembaCensus(K, Q, _rows(relaxed), _rows(strict))
 
 
-def _from_tallies(K: int, Q: int, relaxed: np.ndarray, strict: np.ndarray) -> ZarembaCensus:
-    """Census from member counts indexed by q; empty rows are left out."""
-    counts = {int(q): int(c) for q, c in enumerate(relaxed) if c}
-    strict_counts = {int(q): int(c) for q, c in enumerate(strict) if c}
-    return ZarembaCensus(K, Q, counts, strict_counts)
+def _rows(tally: np.ndarray) -> dict[int, int]:
+    """{q: count} over the nonzero entries of a tally indexed by q, ascending."""
+    rows: dict[int, int] = {}
+    # in blocks: index lists of a whole large tally raise the memory peak by MBs
+    for lo in range(0, tally.size, 1 << 12):
+        qs = lo + np.flatnonzero(tally[lo : lo + (1 << 12)])
+        rows.update(zip(qs.tolist(), tally[qs].tolist()))
+    return rows
 
 
-def _top_and_last(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest interior digit (0 if none) and last digit of each p/q, by one Euclid-kernel run."""
+def _levels(q: np.ndarray, p: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Relaxed and strict level of each p/q, both capped at top + 1, by one Euclid-kernel run.
+
+    The relaxed level is max(interior digits, last - 1), the strict level
+    the largest digit. A chain ends once its running maximum passes top.
+    """
     n = p.size
-    top = np.zeros(n, dtype=np.int64)
+    inner = np.full(n, top + 1, dtype=np.int64)  # largest interior digit; top + 1 once ended early
     last = np.zeros(n, dtype=np.int64)
     for _, _, d, r, (idx, mx) in _euclid_rounds(q, p, np.arange(n), np.zeros(n, dtype=np.int64)):
         fin = r == 0
-        last[idx[fin]] = d[fin]
-        top[idx[fin]] = mx[fin]
+        i = idx[fin]
+        inner[i] = mx[fin]
+        last[i] = d[fin]
         np.maximum(mx, d, out=mx)
-    return top, last
-
-
-def _digit_profile(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, max interior digit, last digit) over the coprime residues of q."""
-    ps = coprime_array(q)
-    return (ps, *_top_and_last(np.full(ps.size, q, dtype=np.int64), ps))
+        r[mx > top] = 0
+    return np.minimum(np.maximum(inner, last - 1), top + 1), np.minimum(np.maximum(inner, last), top + 1)
 
 
 def _coprime_pairs(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -178,31 +176,35 @@ def _coprime_pairs(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def members(q: int, K: int, strict: bool = False) -> np.ndarray:
-    """Level-K residues of q by direct digit filtering (the census oracle)."""
+    """Residues of q whose relaxed (or strict) level is at most K; chains end at a digit past K."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if K < 1:
         raise ValueError("K must be >= 1")
-    ps, top, last = _digit_profile(q)
-    cap = K if strict else K + 1
-    return ps[(top <= K) & (last <= cap)]
+    ps = coprime_array(q)
+    relaxed, strict_level = _levels(np.full(ps.size, q, dtype=np.int64), ps, K)
+    return ps[(strict_level if strict else relaxed) <= K]
 
 
 def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
-    """Censuses at several digit bounds from one batched digit-filter pass over all p/q with q <= Q."""
+    """Censuses at several digit bounds from one batched digit-filter pass over all p/q with q <= Q.
+
+    Pairs are tallied by q and by the least bound at or above their level
+    (len(set(Ks)) + 1 columns), and cumulative sums give every census.
+    """
     if Q < 2:
         raise ValueError("Q must be >= 2")
     if not Ks or any(K < 1 for K in Ks):
         raise ValueError("digit bounds must be >= 1")
-    relaxed = {K: np.zeros(Q + 1, dtype=np.int64) for K in Ks}
-    strict = {K: np.zeros(Q + 1, dtype=np.int64) for K in Ks}
+    bounds = np.array(sorted(set(Ks)), dtype=np.int64)
+    width = bounds.size + 1
+    tallies = np.zeros((2, (Q + 1) * width), dtype=np.int64)
     for q, p in _coprime_pairs(Q):
-        top, last = _top_and_last(q, p)
-        for K in relaxed:
-            ok = top <= K
-            relaxed[K] += np.bincount(q[ok & (last <= K + 1)], minlength=Q + 1)
-            strict[K] += np.bincount(q[ok & (last <= K)], minlength=Q + 1)
-    return {K: _from_tallies(K, Q, relaxed[K], strict[K]) for K in Ks}
+        for tally, level in zip(tallies, _levels(q, p, int(bounds[-1]))):
+            np.add.at(tally, q * width + np.searchsorted(bounds, level), 1)
+    relaxed, strict = tallies.reshape(2, Q + 1, width).cumsum(axis=2)
+    col = dict(zip(bounds.tolist(), range(width)))
+    return {K: ZarembaCensus(K, Q, _rows(relaxed[:, col[K]]), _rows(strict[:, col[K]])) for K in Ks}
 
 
 def brute_force_census(Q: int, K: int) -> ZarembaCensus:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from cforbit import __version__
+from cforbit.arith import euler_phi
 from cforbit.cli import (
     _SUBCOMMANDS,
     ConfigError,
@@ -201,6 +202,16 @@ def test_census_is_thread_count_invariant(capsys):
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
     assert strip(single) == strip(multi)
     assert single.splitlines()[2] != multi.splitlines()[2]
+
+
+def test_census_branches_stop_at_q_max(capsys):
+    # K = 1000 admits every p/q with q <= 60, and no digit there exceeds 60
+    rows = {}
+    for threads in ("2", "1"):
+        assert main(["zaremba-census", "--q-max", "60", "--K", "1000", "--threads", threads]) == 0
+        rows[threads] = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert rows["2"] == rows["1"]
+    assert rows["1"][1:] == [f"{q},{euler_phi(q)},{euler_phi(q)}" for q in range(2, 61)]
 
 
 def test_main_exit_codes(capsys, tmp_path):

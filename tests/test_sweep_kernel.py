@@ -6,17 +6,16 @@ float sum or a changed bin formula fails here and not only in the
 rounded CLI output.
 """
 import hashlib
-import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cforbit.arith import euler_phi
+from cforbit.arith import coprime_array, euler_phi
 from cforbit.cfe import ReducedFraction, cfe_digits, cfe_len
 from cforbit.stats import _sweep, digit_one_frequency, len_stats, nu_bar
-from cforbit.zaremba import _PAIR_CHUNK, _digit_profile, brute_force_censuses, enumerate_bounded
+from cforbit.zaremba import _PAIR_CHUNK, _levels, brute_force_censuses, enumerate_bounded
 
 # (q, bins): sha256 of nu_bar weights, sha256 of (sorted digit counts, overflow)
 FROZEN_BITS = {
@@ -83,17 +82,18 @@ def test_digit_one_frequency_is_frozen(q):
 
 
 @settings(max_examples=60)
-@given(st.integers(min_value=3, max_value=5000))
-def test_profile_and_length_histogram_match_the_scalar_chain(q):
-    ps, top, last = _digit_profile(q)
-    assert ps.tolist() == [p for p in range(1, q) if math.gcd(p, q) == 1]
-    lens = Counter()
-    for p, t, l in zip(ps.tolist(), top.tolist(), last.tolist()):
-        digits = cfe_digits(ReducedFraction(p, q)).digits
-        assert (t, l) == (max(digits[:-1], default=0), digits[-1])
-        lens[cfe_len(ReducedFraction(p, q))] += 1
+@given(st.integers(min_value=3, max_value=5000), st.integers(min_value=1, max_value=8))
+def test_levels_and_length_histogram_match_the_scalar_chain(q, top):
+    ps = coprime_array(q)
+    fractions = [ReducedFraction(p, q) for p in ps.tolist()]
+    words = [cfe_digits(x).digits for x in fractions]
+    qs = np.full(ps.size, q, dtype=np.int64)
+    for cap in (top, q):
+        relaxed, strict = _levels(qs, ps, cap)
+        assert relaxed.tolist() == [min(max([*w[:-1], w[-1] - 1]), cap + 1) for w in words]
+        assert strict.tolist() == [min(max(w), cap + 1) for w in words]
     counts = _sweep(q, 16).len_counts
-    assert {n: int(c) for n, c in enumerate(counts) if c} == dict(lens)
+    assert {n: int(c) for n, c in enumerate(counts) if c} == dict(Counter(map(cfe_len, fractions)))
 
 
 def test_batched_census_matches_the_tree_across_chunks():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cforbit.arith import coprime_array, euler_phi
 from cforbit.zaremba import (
     HeightBoundError,
     HeightBoundReport,
@@ -73,6 +74,28 @@ def test_members_examples():
         members(1, 1)
     with pytest.raises(ValueError):
         members(5, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 10, 97, 360])
+def test_level_rule_at_its_extremes(q):
+    # 1/q = [q] has the largest digit of any p/q: relaxed level q - 1, strict level q
+    every = coprime_array(q)
+    assert np.array_equal(members(q, q - 1), every)
+    assert np.array_equal(members(q, q, strict=True), every)
+    assert 1 not in members(q, q - 1, strict=True)
+    if q > 2:
+        assert 1 not in members(q, q - 2)
+
+
+def test_digit_bounds_beyond_q():
+    # levels are capped just past the largest bound, so a huge bound costs
+    # no tally width; the tree's digit loops stop at Q
+    brutes = brute_force_censuses(200, (1, 10**9))
+    assert brutes[1] == enumerate_bounded(200, 1)
+    every = {q: euler_phi(q) for q in range(2, 201)}
+    assert dict(brutes[10**9].counts) == dict(brutes[10**9].strict_counts) == every
+    assert enumerate_bounded(200, 10**9) == brutes[10**9]
+    assert brute_force_censuses(200, (10**9,)) == {10**9: brutes[10**9]}
 
 
 def test_exponent_fit():
