@@ -312,24 +312,25 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     return fx, fy
 
 
-def _excursions(q: int, ps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _excursions(q: int, ps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The excursions of the orbits of p/q toward the cusp, one Euclid round at a time.
 
-    Each round yields (idx, q_k, r_k) over the live columns: the index of
-    p in ps, the k-th continuant and the k-th Euclid divisor. The orbit
-    vector (q_k e^{-t/2}, (r_k/q) e^{t/2}) is shortest at e^t = q q_k/r_k,
-    where the height peaks at sqrt(q/(2 q_k r_k)), and it stays shorter
-    than 1/M for 2 arccosh(q/(2 M^2 q_k r_k)) time units. By Legendre's
-    theorem every primitive vector shorter than 1 is one of these, and a
-    unimodular lattice holds at most one such vector up to sign, so the
-    excursions above any M >= 1 are disjoint. The yielded arrays hold until
-    the next round.
+    Each round yields (idx, q_k, r_k, rem) over the live columns: the index
+    of p in ps, the k-th continuant, the k-th Euclid divisor and remainder.
+    The orbit vector (q_k e^{-t/2}, (r_k/q) e^{t/2}) is shortest at
+    e^t = q q_k/r_k, where the height peaks at sqrt(q/(2 q_k r_k)), and it
+    stays shorter than 1/M for 2 arccosh(q/(2 M^2 q_k r_k)) time units. By
+    Legendre's theorem every primitive vector shorter than 1 is one of
+    these, and a unimodular lattice holds at most one such vector up to
+    sign, so the excursions above any M >= 1 are disjoint. The arrays hold
+    until the next round; setting rem to 0 ends a column, as
+    stats.mass_escape_count does once q_k alone is too long.
     """
     n = ps.size
     qs = np.full(n, q, dtype=np.int64)
     rounds = _euclid_rounds(qs, ps, np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64))
-    for _, b, d, _, (idx, qk1, qk) in rounds:
-        yield idx, qk, b
+    for _, b, d, r, (idx, qk1, qk) in rounds:
+        yield idx, qk, b, r
         nxt = d * qk + qk1
         qk1[:] = qk
         qk[:] = nxt

@@ -12,8 +12,9 @@ length statistics read a histogram of len(p/q), not one length per
 residue. Gauss-map points are binned exactly: the bin of B/A with nbins
 bins is (B * nbins) // A, never a float comparison.
 
-Orbit heights are exact: each excursion toward the cusp, its peak and
-its time above a height M are read in closed form off the Euclid chain
+Orbit heights and the no-escape-of-mass count are exact: each excursion
+toward the cusp, its peak, its time above a height M and the norm of its
+vector at a time t are read in closed form off the Euclid chain
 (lattice._excursions). Only the fundamental-domain histogram (like
 lattice.orbit_samples) reads orbits on a time grid: the (residue, time)
 points of a seeded residue sample go through the array kernel of lattice
@@ -213,7 +214,7 @@ def _height_tails(q: int, ps: np.ndarray, M: float) -> np.ndarray:
     if M < 1:
         raise ValueError("M must be >= 1")
     tails = np.zeros(ps.size)
-    for idx, qk, rk in _excursions(q, ps):
+    for idx, qk, rk, _ in _excursions(q, ps):
         tails[idx] += np.arccosh(np.maximum(1.0, q / (2.0 * M * M * (qk * rk))))
     return tails / math.log(q)
 
@@ -277,62 +278,58 @@ def mass_escape_count(
 ) -> MassEscapeReport:
     """Exact count of residues p whose orbit lattice at time t holds a vector of norm <= 1/M.
 
-    The membership test m^2 e^{-t} + dist(m p/q, Z)^2 e^t <= 1/M^2 runs
-    over 1 <= m <= e^{t/2}/M and the two integers nearest -m p/q.
-    Comparisons use doubles with a 2^-40 relative margin and escalate to
-    50-digit arithmetic on margin hits. The count is asserted against
-    the bound (4/M^2) phi(q), which is exact in the hypothesis range
-    0 <= t <= ln q - 2 omega(q); checked=False skips the range guard for
-    exploration outside it.
+    Only convergent vectors (q_k, r_k/q) can be that short (see
+    lattice._excursions): one Euclid pass over the coprime residues tests
+    q_k^2 e^{-t} + (r_k/q)^2 e^t <= 1/M^2 until q_k alone is too long, and
+    the last vector (q, 0) counts every residue once t >= 2 ln(qM).
+    Doubles decide outside a 2^-40 relative margin and 50 digits inside
+    it; escalations counts the margin hits per (vector, residue). The
+    count is asserted against (4/M^2) phi(q), a bound proven in the range
+    0 <= t <= ln q - 2 omega(q); checked=False skips that range guard.
     """
     qi = _q_int(q)
     if M <= 1:
         raise ValueError("M must be > 1")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     window = math.log(qi) - 2 * omega(qi)
-    in_hyp = 0 <= t <= window
+    in_hyp = t <= window
     if checked and not in_hyp:
         raise ValueError(f"t={t} outside the hypothesis range [0, {window:.4f}] for q={qi}")
-    phi = euler_phi(qi)
     inv_m2 = 1.0 / (M * M)
     emt = math.exp(-t)
     ept = math.exp(t)
-    margin = 2.0**-40
+    tol = 2.0**-40 * inv_m2
     escalations = 0
-    hits: set[int] = set()
 
-    def accept(m: int, r: int) -> bool:
-        nonlocal escalations
-        val = m * m * emt + (r / qi) ** 2 * ept
-        if abs(val - inv_m2) > margin * inv_m2:
-            return val <= inv_m2
-        escalations += 1
+    def exact(m: int, r: int) -> bool:
         with mpmath.workdps(50):
             lhs = m * m * mpmath.exp(-t) + (mpmath.mpf(r) / qi) ** 2 * mpmath.exp(t)
-            return lhs <= mpmath.mpf(1) / (M * M)
+            return lhs <= 1 / mpmath.mpf(M) ** 2
 
-    m_max = int(math.exp(t / 2.0) / M)
-    for m in range(1, m_max + 1):
-        rad2 = (inv_m2 - m * m * emt) * emt
-        if rad2 < 0:
-            continue
-        w_int = int(qi * math.sqrt(rad2) * (1 + 1e-12)) + 1
-        g = math.gcd(m, qi)
-        qg = qi // g
-        inv = pow(m // g, -1, qg) if qg > 1 else 0
-        for r in range(0, min(w_int, qi - 1) + 1):
-            for rr in {r, qi - r} if r else {0}:
-                if rr % g:
-                    continue
-                if rr == 0 and m % qi:
-                    continue
-                base = (inv * ((rr % qi) // g)) % qg if qg > 1 else 1
-                for j in range(g):
-                    pp = base + j * qg
-                    if 0 < pp < qi and math.gcd(pp, qi) == 1 and (pp * m - rr) % qi == 0:
-                        if accept(m, min(rr, qi - rr)):
-                            hits.add(pp)
-    count = len(hits)
-    bound = Fraction(4 * phi) / (Fraction(M) ** 2)
+    ps = coprime_array(qi) if qi > 1 else np.zeros(0, dtype=np.int64)
+    hit = np.zeros(ps.size, dtype=bool)
+    for idx, qk, rk, rem in _excursions(qi, ps):
+        head = qk * qk * emt
+        gap = head + (rk / qi) ** 2 * ept - inv_m2
+        hit[idx[gap < -tol]] = True
+        near = np.flatnonzero(np.abs(gap) <= tol)
+        escalations += near.size
+        for i in near:
+            hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
+        # later convergents have larger q_k, so none of them can be short
+        rem[head - inv_m2 > tol] = 0
+    # every chain ends in the vector (q, 0)
+    gap = qi * qi * emt - inv_m2
+    if abs(gap) > tol:
+        hit |= gap < 0
+    else:
+        escalations += ps.size
+        hit |= exact(qi, 0)
+    count = int(np.count_nonzero(hit))
+    bound = Fraction(4 * euler_phi(qi)) / (Fraction(M) ** 2)
     if in_hyp and count > bound:
         raise MassEscapeBoundError(
             f"count {count} exceeds (4/M^2) phi = {float(bound):.3f} at q={qi}, M={M}, t={t}"

@@ -274,7 +274,7 @@ def height_bound_check(q: int, K: int) -> HeightBoundReport:
     # and one p, the smaller q_k is the earlier time; argmin takes the first
     # live column, which has the smallest p
     least = (q * q, 0, 0, 0)
-    for idx, qk, rk in _excursions(q, ps):
+    for idx, qk, rk, _ in _excursions(q, ps):
         prod = qk * rk
         i = int(np.argmin(prod))
         least = min(least, (int(prod[i]), int(idx[i]), int(qk[i]), int(rk[i])))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cforbit.arith import euler_phi, omega
 from cforbit.cfe import DigitHistogram, ReducedFraction, cfe_len
 from cforbit.lattice import height, orbit_point
 from cforbit.stats import (
@@ -167,11 +169,104 @@ def brute_force_escape_count(q: int, M: float, t: float) -> int:
 
 
 def test_mass_escape_count_matches_brute_force():
-    for (q, M, t) in ((59, 1.5, 1.5), (97, 2.0, 2.5), (211, 3.0, 3.3)):
-        rep = mass_escape_count(q, M, t)
+    cases = (
+        (59, 1.5, 1.5, True),
+        (97, 2.0, 2.5, True),
+        (211, 3.0, 3.3, True),
+        # M near 1
+        (97, 1.01, 0.5, True),
+        (211, 1.01, 3.0, True),
+        # just under 2 ln M no vector with m >= 1 fits, so nothing counts
+        (97, 2.0, 2 * math.log(2.0) - 1e-9, True),
+        # past 2 ln(qM) the vector (q, 0) is short for every residue
+        (59, 1.5, 2 * math.log(59 * 1.5) + 0.01, False),
+        (60, 1.01, 2 * math.log(60 * 1.01) + 1.0, False),
+    )
+    for q, M, t, checked in cases:
+        rep = mass_escape_count(q, M, t, checked)
         assert rep.count == brute_force_escape_count(q, M, t)
-        assert rep.count <= float(rep.bound)
-        assert rep.in_hypothesis
+        assert rep.in_hypothesis == checked
+        if checked:
+            assert rep.count <= float(rep.bound)
+        if t < 2 * math.log(M):
+            assert rep.count == 0
+        if t > 2 * math.log(q * M):
+            assert rep.count == euler_phi(q)
+
+
+def test_mass_escape_escalates_on_the_threshold():
+    # 35/97 and 62/97 hold the convergent vector (q_k, r_k/q) = (3, 8/97);
+    # at e^t = u, a root of (r_k/q)^2 u^2 - u/M^2 + q_k^2 = 0, its norm is
+    # 1/M up to float error, so both residues escalate to 50 digits; at the
+    # second M the squared norm lies between 1/M^2 and the rounded 1/(M*M)
+    q, qk, rk = 97, 3, 8
+    cases = []
+    for M in (1.2, 1.230638758419904):
+        a, b = (rk / q) ** 2, 1 / (M * M)
+        cases.append((M, math.log((b - math.sqrt(b * b - 4 * a * qk * qk)) / (2 * a)), 2))
+    # at t = 2 ln(qM) the last vector (q, 0) of every residue has norm 1/M
+    cases.append((2.0, 2 * math.log(q * 2.0), q - 1))
+    for M, t, escalations in cases:
+        rep = mass_escape_count(q, M, t, checked=False)
+        assert rep.escalations == escalations
+        with mpmath.workdps(50):
+            eu, lim = mpmath.exp(t), 1 / mpmath.mpf(M) ** 2
+            want = sum(
+                any(
+                    m * m / eu + (mpmath.mpf(min(m * p % q, q - m * p % q)) / q) ** 2 * eu <= lim
+                    for m in range(1, int(math.exp(t / 2) / M) + 2)
+                )
+                for p in range(1, q)
+            )
+        assert rep.count == want
+
+
+def _criterion_01_draws():
+    rng = np.random.default_rng(20250817)
+    out = []
+    while len(out) < 200:
+        q = int(rng.integers(3, 10**4 + 1))
+        window = math.log(q) - 2 * omega(q)
+        if window <= 0:
+            continue
+        M = float(rng.choice((2.0, 3.0, 5.0)))
+        out.append((q, M, float(rng.uniform(0.0, window))))
+    return out
+
+
+def _window_grid():
+    return [
+        (q, M, t)
+        for q in (1009, 10007, 100003)
+        for M in (1.5, 2.0, 5.0)
+        for t in (0.5, 3.0, math.log(q) - 2 * omega(q))
+    ]
+
+
+def _unchecked_draws():
+    rng = np.random.default_rng(9)
+    out = []
+    for _ in range(300):
+        q = int(rng.integers(2, 3000))
+        M = float(rng.uniform(1.01, 6.0))
+        out.append((q, M, float(rng.uniform(0.0, 2 * math.log(q) + 3))))
+    return out
+
+
+# sha256 of repr([(count, escalations), ...]), captured from the (m, r, j)
+# enumeration over modular inverses that predates the Euclid-chain count
+FROZEN_ESCAPE = {
+    "criterion_01": (_criterion_01_draws, True, "30828d0914c57bf520c749ccd2414b312b9966259b500b9f701d2ec74fd6c03c"),
+    "window_grid": (_window_grid, True, "d0517695c204d49a03f370766703a9ffd60dd974cde4c2eff50d981218dac778"),
+    "unchecked": (_unchecked_draws, False, "31456266272c160fd5e8cfefa2bec60dcb602018da12ad97ec597a7612ede9f3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ESCAPE))
+def test_mass_escape_counts_are_frozen(name):
+    draws, checked, sha = FROZEN_ESCAPE[name]
+    got = [(r.count, r.escalations) for r in (mass_escape_count(q, M, t, checked) for q, M, t in draws())]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == sha
 
 
 def test_mass_escape_report_fields():
@@ -188,6 +283,13 @@ def test_mass_escape_hypothesis_guard():
     assert not rep.in_hypothesis
     with pytest.raises(ValueError):
         mass_escape_count(97, 1.0, 1.0)
+    # at t = -3 every orbit lattice holds (0, e^{-3/2}), so no count is right
+    for checked in (True, False):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            mass_escape_count(97, 2.0, -3.0, checked)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t must be finite"):
+                mass_escape_count(97, 2.0, t, checked)
     assert issubclass(MassEscapeBoundError, AssertionError)
 
 
