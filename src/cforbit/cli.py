@@ -2,7 +2,7 @@
 
 Every run resolves to an ExperimentConfig (flags override an optional
 key=value config file), dispatches to the owning module, and emits a
-stream of records as CSV or JSON lines. Identical config and seed give
+stream of rows as CSV or JSON lines. Identical config and seed give
 byte-identical output; wall-clock goes to stderr only, never into the
 output stream. Column schemas are fixed per subcommand and documented
 in docs/cli.md.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import shlex
 import sys
@@ -29,6 +30,7 @@ from .crosssec import crossing_sequence, kappa_quadrature
 from .lattice import SymmetryError, orbit_samples, verify_symmetry
 from .stats import (
     SWEEP_Q_MIN,
+    FdHistogram,
     dispersion,
     haar_fd_histogram,
     len_stats,
@@ -221,25 +223,26 @@ def read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-# ---------------------------------------------------------------- records
+# ---------------------------------------------------------------- rows
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One output row: metric values by column, plus a JSON-only histogram payload."""
+# one output row as `run` yields it: cell values in column order, JSON-only histogram
+OutputRow = tuple[tuple[object, ...], Optional[Mapping[str, object]]]
 
-    metrics: Mapping[str, object]
-    histogram: Optional[Mapping[str, object]] = None
-
-    def __post_init__(self) -> None:
-        for k, v in self.metrics.items():
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"metric {k} is not finite")
+# the exact types every runner yields; numpy scalars and subclasses take the chain
+_FMT_BY_TYPE: dict[type, Callable[[object], str]] = {
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: lambda v: f"{v:.12g}",
+    str: str.__str__,
+}
 
 
 def _fmt(v: object) -> str:
     """Fixed plain-text form: 12 significant digits for floats."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    exact = _FMT_BY_TYPE.get(type(v))
+    if exact is not None:
+        return exact(v)
+    # bool cannot be subclassed, so the table has taken every bool by now
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -250,14 +253,9 @@ def _fmt(v: object) -> str:
 
 
 def _json_value(v: object) -> str:
+    """JSON text with the plain-text numbers of _fmt."""
     if v is None:
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12g}"
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, Mapping):
@@ -265,28 +263,28 @@ def _json_value(v: object) -> str:
         return "{" + inner + "}"
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json_value(x) for x in v) + "]"
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+    return _fmt(v)
 
 
-def emit(records: Iterable[ResultRecord], config: ExperimentConfig, stream: TextIO) -> int:
-    """Write the record stream; returns the number of rows.
+def emit(rows: Iterable[OutputRow], config: ExperimentConfig, stream: TextIO) -> int:
+    """Write the row stream of `run`; returns the number of rows.
 
-    CSV: comment preamble (version, schema, config), header, one row per
-    record, fixed column order. JSON: a meta object line, then one
-    object per record. Histogram payloads appear in JSON only.
+    CSV: comment preamble (version, schema, config), header, one line per
+    row, fixed column order. JSON: a meta object line, then one object
+    per row. Histogram payloads appear in JSON only.
     """
     sub = _SUBCOMMANDS[config.subcommand]
     echo = config.echo()
-    rows = 0
+    n = 0
     if config.format == "csv":
         stream.write(f"# cforbit {__version__}\n")
         stream.write(f"# schema {sub.schema}\n")
         cfg_text = " ".join(f"{k}={shlex.quote(_config_value(v))}" for k, v in echo.items())
         stream.write(f"# config {cfg_text}\n")
         stream.write(",".join(sub.columns) + "\n")
-        for rec in records:
-            stream.write(",".join(_fmt(rec.metrics[c]) for c in sub.columns) + "\n")
-            rows += 1
+        for values, _ in rows:
+            stream.write(",".join(map(_fmt, values)) + "\n")
+            n += 1
     else:
         meta = {
             "record": "meta",
@@ -296,21 +294,17 @@ def emit(records: Iterable[ResultRecord], config: ExperimentConfig, stream: Text
             "config": echo,
         }
         stream.write(_json_value(meta) + "\n")
-        for rec in records:
-            body: dict[str, object] = {"record": "row"}
-            for c in sub.columns:
-                body[c] = rec.metrics[c]
-            if rec.histogram is not None:
-                body["histogram"] = rec.histogram
+        for values, histogram in rows:
+            body = {"record": "row", **dict(zip(sub.columns, values))}
+            if histogram is not None:
+                body["histogram"] = histogram
             stream.write(_json_value(body) + "\n")
-            rows += 1
-    return rows
+            n += 1
+    return n
 
 
 def _config_value(v: object) -> str:
-    if isinstance(v, tuple):
-        return ",".join(_fmt(x) for x in v)
-    return _fmt(v)
+    return ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
 
 
 # ------------------------------------------------------- parse / render
@@ -483,18 +477,17 @@ def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Row]:
         }, None
 
 
+def _histogram_payload(h: FdHistogram) -> dict[str, object]:
+    """The JSON-only payload: grid, observed cell shares, Haar cell masses."""
+    return {"grid": h.grid, "observed": (h.weights / h.weights.sum()).ravel(), "expected": h.expected.ravel()}
+
+
 def _run_fd_hist(cfg: ExperimentConfig) -> Iterator[Row]:
     q = _single_q(cfg)
     h = orbit_fd_histogram(
         q, dt=cfg.dt, grid=cfg.grid, sample_size=cfg.sample_size, seed=cfg.seed
     )
     cells = int(np.count_nonzero(h.expected > 0))
-    obs = h.weights / h.weights.sum()
-    payload = {
-        "grid": h.grid,
-        "observed": obs.ravel(),
-        "expected": h.expected.ravel(),
-    }
     yield {
         "q": q,
         "dt": cfg.dt,
@@ -503,7 +496,7 @@ def _run_fd_hist(cfg: ExperimentConfig) -> Iterator[Row]:
         "seed": cfg.seed,
         "cells": cells,
         "discrepancy": h.discrepancy(),
-    }, payload
+    }, _histogram_payload(h)
 
 
 def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
@@ -515,12 +508,6 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
     # five sigmas above the multinomial expectation (K-1)/n
     gate = (cells - 1 + 5.0 * math.sqrt(2.0 * (cells - 1))) / cfg.n
     ok = disc < gate
-    obs = h.weights / h.weights.sum()
-    payload = {
-        "grid": h.grid,
-        "observed": obs.ravel(),
-        "expected": h.expected.ravel(),
-    }
     yield {
         "n": cfg.n,
         "grid": cfg.grid,
@@ -529,7 +516,7 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
         "discrepancy": disc,
         "noise_floor": floor,
         "ok": ok,
-    }, payload
+    }, _histogram_payload(h)
     if not ok:
         raise SelfTestError(
             f"haar self-test discrepancy {disc:.6g} above gate {gate:.6g}"
@@ -705,14 +692,22 @@ _SUBCOMMANDS: dict[str, _SubSpec] = {
 }
 
 
-def run(config: ExperimentConfig) -> Iterator[ResultRecord]:
-    """Dispatch to the owning module; yields one ResultRecord per output row."""
+def run(config: ExperimentConfig) -> Iterator[OutputRow]:
+    """Dispatch to the owning module; yields (values in column order, histogram) per output row."""
     sub = _SUBCOMMANDS[config.subcommand]
+    pick = operator.itemgetter(*sub.columns)
+    one = len(sub.columns) == 1  # itemgetter of one key returns the bare value
     for metrics, histogram in sub.runner(config):
-        missing = [c for c in sub.columns if c not in metrics]
-        if missing:
-            raise RuntimeError(f"runner dropped columns {missing}")
-        yield ResultRecord(metrics, histogram)
+        try:
+            values = (pick(metrics),) if one else pick(metrics)
+        except KeyError:
+            missing = [c for c in sub.columns if c not in metrics]
+            raise RuntimeError(f"runner dropped columns {missing}") from None
+        for v in values:
+            if isinstance(v, float) and not math.isfinite(v):
+                c = next(c for c, x in zip(sub.columns, values) if x is v)
+                raise ValueError(f"metric {c} is not finite")
+        yield values, histogram
 
 
 # ----------------------------------------------------------------- main
@@ -785,9 +780,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     start = time.perf_counter()
     try:
-        records = run(config)
         if config.output is None or config.output == "-":
-            rows = emit(records, config, sys.stdout)
+            rows = emit(run(config), config, sys.stdout)
         else:
             try:
                 fh = open(config.output, "w", encoding="utf-8", newline="")
@@ -795,7 +789,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _error_line("io", f"{config.output}: {e}")
                 return 3
             with fh:
-                rows = emit(records, config, fh)
+                rows = emit(run(config), config, fh)
     except (AssertionError, SymmetryError, RuntimeError) as e:
         _error_line("invariant", str(e))
         return 2

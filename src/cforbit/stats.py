@@ -300,7 +300,7 @@ def mass_escape_count(
         raise ValueError(f"t={t} outside the hypothesis range [0, {window:.4f}] for q={qi}")
     inv_m2 = 1.0 / (M * M)
     emt = math.exp(-t)
-    ept = math.exp(t)
+    ept = math.exp(t) if t <= 709.0 else math.inf  # past 709 only (q, 0) can be short
     tol = 2.0**-40 * inv_m2
     escalations = 0
 

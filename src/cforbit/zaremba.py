@@ -49,13 +49,19 @@ class ZarembaCensus:
     strict_counts: Mapping[int, int]
 
     def __post_init__(self) -> None:
+        # every strict member is a relaxed member; the first bad entry in dict order is reported
         if self.K < 1 or self.Q < 2:
             raise ValueError("census needs K >= 1 and Q >= 2")
-        for q, c in self.counts.items():
-            if not 2 <= q <= self.Q or c <= 0:
-                raise ValueError(f"bad census entry q={q}")
-            if self.strict_counts.get(q, 0) > c:
-                raise ValueError(f"strict count exceeds relaxed count at q={q}")
+        (q, c), (sq, sc) = _entries(self.counts), _entries(self.strict_counts)
+        for keys, values in ((q, c), (sq, sc)):
+            bad = (keys < 2) | (keys > self.Q) | (values <= 0)
+            if bad.any():
+                raise ValueError(f"bad census entry q={keys[bad.argmax()]}")
+        relaxed = np.zeros(max(q.max(initial=0), sq.max(initial=0)) + 1, dtype=np.int64)
+        relaxed[q] = c
+        over = sc > relaxed[sq]
+        if over.any():
+            raise ValueError(f"strict count exceeds relaxed count at q={sq[over.argmax()]}")
 
     def count(self, q: int) -> int:
         return self.counts.get(q, 0)
@@ -73,12 +79,10 @@ class ZarembaCensus:
         """Key-wise sum; branches of a split enumeration merge associatively."""
         if (self.K, self.Q) != (other.K, other.Q):
             raise ValueError("can only merge censuses with equal K and Q")
-        counts = dict(self.counts)
-        for q, c in other.counts.items():
-            counts[q] = counts.get(q, 0) + c
-        strict = dict(self.strict_counts)
-        for q, c in other.strict_counts.items():
-            strict[q] = strict.get(q, 0) + c
+        counts, strict = dict(self.counts), dict(self.strict_counts)
+        for mine, theirs in ((counts, other.counts), (strict, other.strict_counts)):
+            for q, c in theirs.items():
+                mine[q] = mine.get(q, 0) + c
         return ZarembaCensus(self.K, self.Q, counts, strict)
 
     def rows(self) -> Iterator[tuple[int, int, int]]:
@@ -129,6 +133,15 @@ def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> Zare
         prev, cur = np.concatenate(nxt_prev), np.concatenate(nxt_cur)
         closing, extending = digits[1:], digits[:K]
     return ZarembaCensus(K, Q, _rows(relaxed), _rows(strict))
+
+
+def _entries(counts: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and values of a {q: count} mapping as int64 arrays, in its order."""
+    n = len(counts)
+    try:
+        return np.fromiter(counts.keys(), np.int64, n), np.fromiter(counts.values(), np.int64, n)
+    except OverflowError:
+        raise ValueError("bad census entry beyond int64") from None
 
 
 def _rows(tally: np.ndarray) -> dict[int, int]:
@@ -220,23 +233,15 @@ def exponent_fit(census: ZarembaCensus) -> float:
     geometric midpoint. Window means smooth the heavy q-to-q
     fluctuation of the raw counts; empty windows are skipped.
     """
-    sums: dict[int, int] = {}
-    for q, c in census.counts.items():
-        j = q.bit_length() - 1
-        sums[j] = sums.get(j, 0) + c
     jmax = (census.Q + 1).bit_length() - 2
-    xs = []
-    ys = []
-    for j in range(1, jmax + 1):
-        s = sums.get(j, 0)
-        if s == 0:
-            continue
-        xs.append((j + 0.5) * LN2)
-        ys.append(math.log(s / float(1 << j)))
-    if len(xs) < 4:
+    q, c = _entries(census.counts)
+    # window j holds the q of bit length j + 1; the float sums stay exact below 2^53
+    sums = np.bincount(np.frexp(q)[1] - 1, weights=c, minlength=jmax + 1)[: jmax + 1]
+    js = np.flatnonzero(sums[1:]) + 1
+    if js.size < 4:
         raise ValueError("need at least 4 complete dyadic windows")
-    slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
-    return float(slope)
+    ys = [math.log(s / float(1 << j)) for j, s in zip(js.tolist(), sums[js].tolist())]
+    return float(np.polyfit((js + 0.5) * LN2, np.array(ys), 1)[0])
 
 
 class HeightBoundError(AssertionError):

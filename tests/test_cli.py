@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cforbit import __version__
@@ -11,7 +12,6 @@ from cforbit.cli import (
     _SUBCOMMANDS,
     ConfigError,
     ExperimentConfig,
-    ResultRecord,
     _fmt,
     build_config,
     emit,
@@ -278,11 +278,57 @@ def test_main_invariant_failures_exit_2(capsys, monkeypatch):
     assert main(["kappa", "--threads", "1"]) == 2
 
 
-def test_record_and_formatting_rules():
-    with pytest.raises(ValueError):
-        ResultRecord({"bad": math.inf})
-    assert _fmt(True) == "true" and _fmt(False) == "false"
-    assert _fmt(1 / 3) == "0.333333333333"
-    assert _fmt(7) == "7"
-    with pytest.raises(TypeError):
-        _fmt({})
+def test_record_and_formatting_rules(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["kappa"]
+
+    def unbounded(cfg):
+        yield {"kappa": 1.0, "target": math.inf, "abs_err": 0.0}, None
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=unbounded))
+    with pytest.raises(ValueError, match="metric target is not finite"):
+        list(run(build_config(["kappa", "--threads", "1"])))
+    assert main(["kappa", "--threads", "1"]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+
+
+class _Float(float):
+    def __format__(self, spec):
+        return "subclass"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "subclass"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "true"),
+        (False, "false"),
+        (0, "0"),
+        (7, "7"),
+        (-7, "-7"),
+        (2**70, "1180591620717411303424"),
+        (np.int64(5), "5"),
+        (np.int32(5), "5"),
+        (1 / 3, "0.333333333333"),
+        (1e-300, "1e-300"),
+        (-0.0, "-0"),
+        (np.float64(1 / 3), "0.333333333333"),
+        (np.float32(0.1), "0.10000000149"),
+        (_Float(2.5), "2.5"),
+        (_Int(9), "9"),
+        ("a,b", "a,b"),
+    ],
+)
+def test_fmt_exact_types_and_fallback(value, text):
+    assert _fmt(value) == text
+
+
+@pytest.mark.parametrize("value", [{}, None, np.bool_(True)])
+def test_fmt_rejects_other_types(value):
+    with pytest.raises(TypeError, match="cannot format"):
+        _fmt(value)

@@ -6,6 +6,7 @@ They pin the record stream, the column order, the number formatting and
 the config echo (its keys follow each subcommand's parameter order, not
 the order of the ExperimentConfig fields).
 """
+import hashlib
 import io
 import shlex
 from pathlib import Path
@@ -33,11 +34,31 @@ CASES = {
 }
 
 
-def render(sub: str, fmt: str) -> str:
-    cfg = build_config([sub, *shlex.split(CASES[sub]), "--format", fmt, "--threads", "1"])
+# larger exports than the corpus reaches, as sha256 of the whole output
+# (`# config` line included) for argv + `--format <fmt> --threads <n>`
+FROZEN_DIGESTS = {
+    ("zaremba-census --q-max 20000 --K 3", "csv", 1): "6491c422a780414c63c282993ca515c5d52348df599208a7d2b09b5c77823d85",
+    ("zaremba-census --q-max 20000 --K 3", "csv", 2): "916905fd66434f40d41ca9a58276bd65a2c89c62e4a76d7018a322f80c86067e",
+    ("zaremba-census --q-max 20000 --K 3", "json", 1): "c41373cbb2a04fdb6858cba7adb93aa5e724742521845d798b9daa0027929d3c",
+    ("zaremba-census --q-max 20000 --K 3", "json", 2): "986afcf2110a7d1f19f41354958b60ed38808f365d2b243bc7197465a890b7fe",
+    ("sweep-digits --q 10007", "csv", 1): "d09bd607d7178f46515e0982ec916523c2ec1c1b847f2153228d878d5d00a247",
+    ("sweep-digits --q 10007", "json", 1): "cf3178dfe531cc5f390f69b4504691e4b19a3a759835c052eb12cf7bd5d58fb6",
+    ("orbit --p 3571 --q 10007 --dt 0.01", "csv", 1): "fc6cbb4d14ffe6d888fc063ee085e23a21505a73f9a6a72a49d43eae81f1f7e7",
+    ("orbit --p 3571 --q 10007 --dt 0.01", "json", 1): "42b5c6359e69d13ff10837d18b58055b88fd32019e1d500cc914753b8bb660e0",
+    ("mass-escape --q 10007 --M 1.5,2,3,5 --t 3", "csv", 1): "6e585c352bcba9d2d761e7eb0f46fa6bbf12785e7ecb222fee77cbdeaeccc3cd",
+    ("mass-escape --q 10007 --M 1.5,2,3,5 --t 3", "json", 1): "959fab203766881550230ec0e8bae647357da195b0fd2ba63bccd14d0722ab40",
+}
+
+
+def render_argv(argv: str, fmt: str, threads: int = 1) -> str:
+    cfg = build_config([*shlex.split(argv), "--format", fmt, "--threads", str(threads)])
     buf = io.StringIO()
     emit(run(cfg), cfg, buf)
     return buf.getvalue()
+
+
+def render(sub: str, fmt: str) -> str:
+    return render_argv(f"{sub} {CASES[sub]}", fmt)
 
 
 def test_corpus_covers_every_subcommand():
@@ -49,3 +70,9 @@ def test_corpus_covers_every_subcommand():
 def test_output_matches_golden_file(sub, fmt):
     expected = (GOLDEN / f"{sub}.{fmt}").read_text(encoding="utf-8")
     assert render(sub, fmt) == expected
+
+
+@pytest.mark.parametrize("argv, fmt, threads", sorted(FROZEN_DIGESTS))
+def test_large_exports_are_frozen(argv, fmt, threads):
+    text = render_argv(argv, fmt, threads)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FROZEN_DIGESTS[argv, fmt, threads]

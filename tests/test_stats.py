@@ -293,6 +293,13 @@ def test_mass_escape_hypothesis_guard():
     assert issubclass(MassEscapeBoundError, AssertionError)
 
 
+@pytest.mark.parametrize("t", [700.0, 709.0, 709.5, 800.0, 1e6])
+def test_mass_escape_count_at_large_t(t):
+    # e^t overflows a double past t = 709.78; far past 2 ln(qM) every residue counts
+    rep = mass_escape_count(97, 2.0, t, checked=False)
+    assert (rep.count, rep.escalations, rep.in_hypothesis) == (euler_phi(97), 0, False)
+
+
 def test_fd_cell_masses_sum_and_one_cell_quadrature():
     masses = fd_cell_masses(4)
     assert float(masses.sum()) == pytest.approx(1.0, abs=1e-12)

@@ -27,6 +27,22 @@ def test_census_validation():
         ZarembaCensus(1, 10, {11: 1}, {})
     with pytest.raises(ValueError):
         ZarembaCensus(1, 10, {5: 1}, {5: 2})
+    # every strict member is a relaxed member
+    with pytest.raises(ValueError, match="strict count exceeds relaxed count at q=5"):
+        ZarembaCensus(1, 10, {}, {5: 1})
+    with pytest.raises(ValueError, match="bad census entry q=99"):
+        ZarembaCensus(1, 10, {3: 1}, {99: 1, 4: -2})
+    with pytest.raises(ValueError, match="bad census entry q=4"):
+        ZarembaCensus(1, 10, {3: 1}, {4: -2, 99: 1})
+    # the first offender in dict order
+    with pytest.raises(ValueError, match="bad census entry q=7"):
+        ZarembaCensus(1, 10, {3: 1, 7: 0, 1: 1}, {})
+    with pytest.raises(ValueError, match="strict count exceeds relaxed count at q=8"):
+        ZarembaCensus(1, 10, {3: 1, 5: 1, 8: 1}, {8: 2, 5: 2})
+    with pytest.raises(ValueError, match="bad census entry"):
+        ZarembaCensus(1, 10, {2**70: 1}, {})
+    census = ZarembaCensus(2, 10, {5: 2, 3: 1}, {5: 2})
+    assert list(census.rows()) == [(3, 1, 0), (5, 2, 2)]
 
 
 def test_digit_one_chain_is_fibonacci():
