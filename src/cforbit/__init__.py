@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 from .arith import (
     Modulus,
     coprime_array,
-    coprime_residues,
     count_coprime_upto,
     dual_residue,
     euler_phi,

@@ -1,8 +1,8 @@
 """Exact elementary number theory for the sweep machinery.
 
 Everything is integer arithmetic: factorization by trial division, totient
-and distinct-prime counts read off the factorization, coprime residue
-enumeration, the pairing p -> p' with p*p' = -1 (mod q), and the one
+and distinct-prime counts read off the factorization, the block sieve of
+coprime residues, the pairing p -> p' with p*p' = -1 (mod q), and the one
 vectorized Euclid kernel that every sweep over residues runs.
 """
 from __future__ import annotations
@@ -91,34 +91,28 @@ def omega(m: int | Modulus) -> int:
     return len(_as_modulus(m).prime_factors)
 
 
-def coprime_residues(m: int | Modulus) -> Iterator[int]:
-    """Yield the residues in [1, q] coprime to q, increasing.
+def _coprime_mask(primes: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """The block sieve: mask[i] is True when lo + i is divisible by none of primes.
 
-    For q = 1 the single residue 1 is yielded (degenerate convention: the
-    unit group of the trivial ring is represented by 1).
+    Each prime clears its multiples in [lo, hi) with one strided slice, so
+    the only array is the hi - lo byte mask itself.
     """
-    m = _as_modulus(m)
-    if m.q == 1:
-        yield 1
-        return
-    for p in range(1, m.q + 1):
-        if math.gcd(p, m.q) == 1:
-            yield p
+    mask = np.ones(hi - lo, dtype=bool)
+    for p in primes:
+        mask[-lo % p :: p] = False
+    return mask
 
 
 def coprime_array(m: int | Modulus) -> np.ndarray:
     """All coprime residues in [1, q-1] as an int64 array (q >= 2).
 
-    Sieve by the distinct prime factors; used by the vectorized sweeps.
+    One block sieve over [0, q): 0 is a multiple of every prime, so the
+    surviving indices are the residues themselves.
     """
     m = _as_modulus(m)
     if m.q < 2:
         raise ValueError("coprime_array needs q >= 2")
-    p = np.arange(1, m.q, dtype=np.int64)
-    mask = np.ones(m.q - 1, dtype=bool)
-    for pr in m.primes:
-        mask &= (p % pr) != 0
-    return p[mask]
+    return np.flatnonzero(_coprime_mask(m.primes, 0, m.q)).astype(np.int64, copy=False)
 
 
 def _euclid_rounds(
@@ -132,6 +126,8 @@ def _euclid_rounds(
     column early. After the yield the ended columns are dropped from a,
     b and every carried array (per-column state such as weights or
     indices, which the caller may update in place) by the same mask.
+    Every array keeps the dtype it came in with, so int32 columns run
+    at half the memory of int64 ones.
     """
     while b.size:
         d, r = np.divmod(a, b)

@@ -5,12 +5,15 @@ modulus q: digit statistics of p/q under the Gauss map, orbit height
 tails against the Haar reference, fundamental-domain histograms, and
 the exact no-escape-of-mass counting bound.
 
-Full sweeps run the Euclid kernel of arith over p in fixed-size chunks
-merged in ascending order, so results are deterministic down to the
-last bit for a given q and binning. They keep histograms only: the
-length statistics read a histogram of len(p/q), not one length per
-residue. Gauss-map points are binned exactly: the bin of B/A with nbins
-bins is (B * nbins) // A, never a float comparison.
+Full sweeps never hold all phi(q) residues at once. They build the
+coprime residues per chunk of 2^18 with the block sieve of arith, run
+the Euclid kernel on int32 columns below q = 2^31 (int64 above), and
+merge the chunks in ascending order. So memory is O(2^18) whatever q
+is, and results are deterministic down to the last bit for a given q
+and binning. They keep histograms only: the length statistics read a
+histogram of len(p/q), not one length per residue. Gauss-map points are
+binned exactly: the bin of B/A with nbins bins is (B * nbins) // A,
+never a float comparison.
 
 Orbit heights and the no-escape-of-mass count are exact: each excursion
 toward the cusp, its peak, its time above a height M and the norm of its
@@ -27,12 +30,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import mpmath
 import numpy as np
 
-from .arith import Modulus, _euclid_rounds, coprime_array, euler_phi, omega
+from .arith import Modulus, _coprime_mask, _euclid_rounds, coprime_array, euler_phi, factorize, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
 from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
@@ -123,35 +126,58 @@ class _SweepData:
         return int(np.arange(self.len_counts.size, dtype=np.int64) ** k @ self.len_counts)
 
 
+def _residue_chunks(q: int) -> Iterator[np.ndarray]:
+    """The coprime residues of q in increasing order, _CHUNK at a time (the last chunk may be short).
+
+    Each chunk is sieved from a block of integers that holds at least
+    _CHUNK residues: an interval of length L holds L phi(q)/q of them up
+    to an error below 2^omega(q). The next block starts past the last
+    residue taken. Columns are int32 when q < 2^31 and int64 above.
+    """
+    m = factorize(q)
+    dtype = np.int32 if q < 2**31 else np.int64
+    span = -(-(_CHUNK + 2 ** omega(m)) * q // euler_phi(m))
+    lo = 1
+    while lo < q:
+        hi = min(q, lo + span)
+        chunk = np.flatnonzero(_coprime_mask(m.primes, lo, hi))[:_CHUNK].astype(dtype)
+        chunk += lo
+        yield chunk
+        lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
+
+
 @lru_cache(maxsize=16)
 def _sweep(q: int, bins: int) -> _SweepData:
     """Two Euclid-kernel runs per chunk of coprime p: lengths first, then the 1/len-weighted statistics.
 
+    The residues are sieved per chunk of 2^18 (_residue_chunks) and both
+    runs use int32 columns below q = 2^31, widening only the bin index
+    b * bins to int64, so memory is O(2^18) whatever q is. A (q, bins)
+    whose bin index could pass the int64 ceiling is refused up front.
     An entry holds histograms only (about 3 KB at the default binning),
     so the cache can keep every (q, bins) a run revisits.
     """
     if q < SWEEP_Q_MIN:
         raise ValueError(f"q must be >= {SWEEP_Q_MIN}")
-    residues = coprime_array(q)
-    phi = residues.size
+    if (q - 1) * bins >= 2**63:
+        raise ValueError(f"q={q}, bins={bins}: the bin index b * bins can reach the int64 ceiling 2^63")
     # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
     len_counts = np.zeros(q.bit_length() * 3 // 2 + 2, dtype=np.int64)
     hist = np.zeros(bins, dtype=np.float64)
     digit_counts = np.zeros(DIGIT_CAP + 2, dtype=np.int64)
     digit1_weighted = 0.0
-    for lo in range(0, phi, _CHUNK):
-        chunk = residues[lo : lo + _CHUNK]
-        n = chunk.size
-        qs = np.full(n, q, dtype=np.int64)
-        lens = np.zeros(n, dtype=np.int64)
-        for k, (_, _, _, r, (idx,)) in enumerate(_euclid_rounds(qs, chunk, np.arange(n)), 1):
+    for chunk in _residue_chunks(q):
+        qs = np.full(chunk.size, q, dtype=chunk.dtype)
+        lens = np.zeros_like(chunk)
+        rounds = _euclid_rounds(qs, chunk, np.arange(chunk.size, dtype=chunk.dtype))
+        for k, (_, _, _, r, (idx,)) in enumerate(rounds, 1):
             lens[idx[r == 0]] = k
         len_counts += np.bincount(lens, minlength=len_counts.size)
         for a, b, d, _, (w,) in _euclid_rounds(qs, chunk, 1.0 / lens):
-            hist += np.bincount((b * bins) // a, weights=w, minlength=bins)
+            hist += np.bincount(np.multiply(b, bins, dtype=np.int64) // a, weights=w, minlength=bins)
             digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
             digit1_weighted += float(w[d == 1].sum())
-    return _SweepData(phi, len_counts, hist, digit_counts, digit1_weighted)
+    return _SweepData(int(len_counts.sum()), len_counts, hist, digit_counts, digit1_weighted)
 
 
 def nu_bar(q: Union[int, Modulus], bins: int = DEFAULT_BINS) -> EmpiricalMeasure:

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from cforbit.arith import (
     Modulus,
     coprime_array,
-    coprime_residues,
     count_coprime_upto,
     dual_residue,
     euler_phi,
@@ -51,17 +50,16 @@ def test_omega_small_values():
 
 
 def test_phi_equals_coprime_count_up_to_1e4():
-    # generator and sieve agree with the product formula on the whole range
+    # the sieve agrees with the product formula on the whole range, and with gcd
     for q in range(2, 10**4 + 1):
         assert euler_phi(q) == coprime_array(q).size
     for q in range(2, 301):
-        assert list(coprime_residues(q)) == coprime_array(q).tolist()
+        assert [p for p in range(1, q) if math.gcd(p, q) == 1] == coprime_array(q).tolist()
 
 
 def test_q1_degenerate_conventions():
     assert euler_phi(1) == 1
     assert omega(1) == 0
-    assert list(coprime_residues(1)) == [1]
     with pytest.raises(ValueError):
         coprime_array(1)
 

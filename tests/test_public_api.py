@@ -8,7 +8,7 @@ PUBLIC = """
     MassEscapeReport Modulus NumericEvent OrbitSample ReducedFraction
     SectionDomainError SweepSummary SymmetryError ZarembaCensus __version__
     averaged_height_tail brute_force_census brute_force_censuses cfe_digits cfe_len
-    convergents coprime_array coprime_residues count_coprime_upto crossing_sequence
+    convergents coprime_array count_coprime_upto crossing_sequence
     cylinder_interval detect_crossings_numeric detect_events_numeric digit_histogram
     digit_one_frequency digit_probability dispersion dual_closure_fraction
     dual_point dual_residue enumerate_bounded euler_phi exponent_fit factorize

@@ -6,15 +6,18 @@ float sum or a changed bin formula fails here and not only in the
 rounded CLI output.
 """
 import hashlib
+import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cforbit import stats
 from cforbit.arith import coprime_array, euler_phi
 from cforbit.cfe import ReducedFraction, cfe_digits, cfe_len
-from cforbit.stats import _sweep, digit_one_frequency, len_stats, nu_bar
+from cforbit.stats import _CHUNK, DEFAULT_BINS, _sweep, digit_one_frequency, len_stats, nu_bar
 from cforbit.zaremba import _PAIR_CHUNK, _levels, brute_force_censuses, enumerate_bounded
 
 # (q, bins): sha256 of nu_bar weights, sha256 of (sorted digit counts, overflow)
@@ -58,6 +61,88 @@ FROZEN_DIGIT_ONE = {
     10007: ("0.3740820403972513", "0.3993224619643746"),
     100003: ("0.3819943946110627", "0.4029540075846141"),
 }
+
+
+# q: sha256 of hist, len_counts and digit_counts, repr of digit1_weighted, at the
+# default binning, captured from the sweep that sliced one whole coprime_array
+# into chunks; these moduli span several chunks, so the chunk boundaries are
+# pinned too (1531530 = 2*3^2*5*7*11*13*17 ends in a partial chunk)
+FROZEN_CHUNKED = {
+    500009: (
+        "d3aab856c7da5670996a54702044d885bc13e60e59f0eba6bc218bf7a8c760a1",
+        "172492172c2055db45a4bcbbbff99ffd4c0d377b43592298304cbde3a6ff163b",
+        "cbfcc9e6dbfbf174a68165087e22e073f159e3b9b9560bfdfbe9a5e6539aeba3",
+        "193048.36757535604",
+    ),
+    1000003: (
+        "0b589f623955796c1d304126b5e2ab9f3a28d728277cb9a528f7722388e9149f",
+        "7f7135269874f95f9c869f430dd209f896116154b18a1f8db1bde672340e57ba",
+        "e49acd0420da2018effddeb6ccd6c1ee2523bb5bbda912d2af117e0beac9d6b5",
+        "387256.21398474113",
+    ),
+    1531530: (
+        "1d42c200d293e4995c10e19d29b5568350e2a84ccf42de4c61c20c35765d8f23",
+        "3149b584ef89e2482327f19ab5319deee98de0f8b62f46170d02a8559a246911",
+        "0709de075de4e521947c366c4ab369d613cd4631ebeb36a18ae88639aa7609e0",
+        "107387.5311381134",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_CHUNKED))
+def test_multi_chunk_sweeps_are_frozen(q):
+    sd = _sweep(q, DEFAULT_BINS)
+    assert sd.phi == euler_phi(q) > _CHUNK
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (sd.hist, sd.len_counts, sd.digit_counts)
+    )
+    assert (*digests, repr(sd.digit1_weighted)) == FROZEN_CHUNKED[q]
+
+
+# multiples of a product of distinct small primes, so omega(q) reaches 6 (30030 * k)
+_smooth_moduli = st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1).flatmap(
+    lambda ps: st.integers(1, 10**5 // math.prod(ps)).map(lambda k: k * math.prod(ps))
+)
+
+
+@pytest.mark.parametrize("size", (1, 7, 64))
+@settings(max_examples=12)
+@given(q=st.one_of(st.integers(min_value=2, max_value=10**5), _smooth_moduli))
+def test_residue_chunks_tile_the_coprime_array(size, q):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_CHUNK", size)
+        chunks = list(stats._residue_chunks(q))
+    assert all(c.size == size for c in chunks[:-1])
+    assert 1 <= chunks[-1].size <= size
+    assert np.concatenate(chunks).tolist() == coprime_array(q).tolist()
+
+
+@pytest.mark.parametrize("q, dtype", [(2**31 - 1, np.int32), (2**31 + 11, np.int64)])
+def test_residue_chunk_columns_are_int32_below_2_to_31(q, dtype):
+    first = next(stats._residue_chunks(q))
+    assert first.dtype == dtype and first.size == _CHUNK
+    assert first[0] == 1 and np.all(np.diff(first) > 0)
+    assert np.all(np.gcd(first, q) == 1)
+
+
+def test_sweep_refuses_bin_indices_past_the_int64_ceiling():
+    # raised before any work: factorizing 2^55 + 1 by trial division would take minutes
+    with pytest.raises(ValueError, match="2\\^63"):
+        nu_bar(2**61, 8)
+    with pytest.raises(ValueError, match="2\\^63"):
+        len_stats(2**55 + 1)  # (q - 1) * 256 is exactly 2^63
+
+
+def test_sweep_memory_does_not_grow_with_q():
+    peaks = []
+    for q in (1000003, 3145729):  # 4 and 12 chunks
+        tracemalloc.start()
+        try:
+            _sweep.__wrapped__(q, DEFAULT_BINS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("q, bins", sorted(FROZEN_BITS))
