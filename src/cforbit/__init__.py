@@ -98,9 +98,7 @@ from .zaremba import (
     HeightBoundError,
     HeightBoundReport,
     ZarembaCensus,
-    brute_force_census,
     brute_force_censuses,
-    dual_closure_fraction,
     enumerate_bounded,
     exponent_fit,
     height_bound_check,

@@ -17,9 +17,7 @@ import os
 import shlex
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
-from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -37,7 +35,7 @@ from .stats import (
     mass_escape_count,
     orbit_fd_histogram,
 )
-from .zaremba import ZarembaCensus, enumerate_bounded, height_bound_check
+from .zaremba import enumerate_bounded, height_bound_check
 
 
 class ConfigError(ValueError):
@@ -126,7 +124,7 @@ class ExperimentConfig:
     )
     threads: int = _param(
         _cast_int,
-        "worker threads (default: CFORBIT_THREADS or available parallelism)",
+        "thread count, recorded in the output (default: CFORBIT_THREADS or available parallelism)",
         lambda v: v >= 1,
         "threads must be >= 1",
         factory=_default_threads,
@@ -525,14 +523,7 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
 
 def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Row]:
     assert cfg.q_max is not None and cfg.K is not None
-    if cfg.threads > 1:
-        branches = range(1, min(cfg.K + 1, cfg.q_max) + 1)
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, len(branches))) as pool:
-            parts = pool.map(lambda a: enumerate_bounded(cfg.q_max, cfg.K, a), branches)
-            census = reduce(ZarembaCensus.merge, parts)
-    else:
-        census = enumerate_bounded(cfg.q_max, cfg.K)
-    for q, relaxed, strict in census.rows():
+    for q, relaxed, strict in enumerate_bounded(cfg.q_max, cfg.K).rows():
         yield {"q": q, "count_relaxed": relaxed, "count_strict": strict}, None
 
 

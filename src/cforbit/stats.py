@@ -312,6 +312,8 @@ def mass_escape_count(
     it; escalations counts the margin hits per (vector, residue). The
     count is asserted against (4/M^2) phi(q), a bound proven in the range
     0 <= t <= ln q - 2 omega(q); checked=False skips that range guard.
+    The residues are taken per chunk of _residue_chunks, so memory is
+    O(2^18) whatever q is.
     """
     qi = _q_int(q)
     if M <= 1:
@@ -335,26 +337,29 @@ def mass_escape_count(
             lhs = m * m * mpmath.exp(-t) + (mpmath.mpf(r) / qi) ** 2 * mpmath.exp(t)
             return lhs <= 1 / mpmath.mpf(M) ** 2
 
-    ps = coprime_array(qi) if qi > 1 else np.zeros(0, dtype=np.int64)
-    hit = np.zeros(ps.size, dtype=bool)
-    for idx, qk, rk, rem in _excursions(qi, ps):
-        head = qk * qk * emt
-        gap = head + (rk / qi) ** 2 * ept - inv_m2
-        hit[idx[gap < -tol]] = True
-        near = np.flatnonzero(np.abs(gap) <= tol)
-        escalations += near.size
-        for i in near:
-            hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
-        # later convergents have larger q_k, so none of them can be short
-        rem[head - inv_m2 > tol] = 0
-    # every chain ends in the vector (q, 0)
+    count = residues = 0
+    for chunk in _residue_chunks(qi):
+        # int64 like every other column of _excursions, so no product q_k^2 can wrap
+        ps = chunk.astype(np.int64)
+        hit = np.zeros(ps.size, dtype=bool)
+        for idx, qk, rk, rem in _excursions(qi, ps):
+            head = qk * qk * emt
+            gap = head + (rk / qi) ** 2 * ept - inv_m2
+            hit[idx[gap < -tol]] = True
+            near = np.flatnonzero(np.abs(gap) <= tol)
+            escalations += near.size
+            for i in near:
+                hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
+            # later convergents have larger q_k, so none of them can be short
+            rem[head - inv_m2 > tol] = 0
+        count += int(np.count_nonzero(hit))
+        residues += ps.size
+    # every chain ends in the vector (q, 0), short for every residue or for none
     gap = qi * qi * emt - inv_m2
-    if abs(gap) > tol:
-        hit |= gap < 0
-    else:
-        escalations += ps.size
-        hit |= exact(qi, 0)
-    count = int(np.count_nonzero(hit))
+    if abs(gap) <= tol:
+        escalations += residues
+    if gap < -tol or (abs(gap) <= tol and exact(qi, 0)):
+        count = residues
     bound = Fraction(4 * euler_phi(qi)) / (Fraction(M) ** 2)
     if in_hyp and count > bound:
         raise MassEscapeBoundError(

@@ -6,12 +6,18 @@ of the canonical word (which never ends in 1) that reads: a_i <= K for
 i < n and a_n <= K + 1, since [.., a_n] = [.., a_n - 1, 1]. The strict
 count additionally caps the last canonical digit at K.
 
-Censuses are built two independent ways: a pruned walk of the digit
-tree through the continuant recursion q_{k+1} = a*q_k + q_{k-1}, and a
-direct digit filter kept as the oracle: one Euclid-kernel run of arith
-reads the level of each coprime pair p/q, max(interior digits, last - 1)
-relaxed or max(digits) strict, and ends a chain once a digit passes the
-largest bound; p is a member when its level is at most K. Orbits of
+A census stores its relaxed and strict member counts as two int64
+tallies indexed by q <= Q and reads them back as read-only {q: count}
+views. Censuses are built two independent ways. The first is a pruned
+walk of the digit tree through the continuant recursion
+q_{k+1} = a*q_k + q_{k-1}: it pops its states from a stack one fixed
+block at a time and tallies each block's closures into the arrays, so
+it holds the two tallies and a few blocks of states, however many
+members there are. The second is a direct digit filter kept as
+the oracle: one Euclid-kernel run of arith reads the level of each
+coprime pair p/q, max(interior digits, last - 1) relaxed or max(digits)
+strict, and ends a chain once a digit passes the largest bound; p is a
+member when its level is at most K. Orbits of
 members must stay below height sqrt(2)*(K+1)^{3/2} over their whole
 lifetime; height_bound_check checks that against the exact largest
 height, read in closed form from the Euclid chains of the members.
@@ -19,12 +25,13 @@ height, read in closed form from the Euclid chains of the members.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _euclid_rounds, coprime_array, dual_residue
+from .arith import _euclid_rounds, coprime_array
 from .gaussmeasure import LN2
 from .lattice import _excursions
 
@@ -33,14 +40,52 @@ from .lattice import _excursions
 # about 25% slower), large enough to batch many small q
 _PAIR_CHUNK = 1 << 12
 
+# (q_{k-1}, q_k) states per block of the digit-tree walk; besides its two
+# tallies the walk holds a few blocks per tree level, and the tree is
+# less than 1.45 log2 Q levels deep
+_BLOCK = 1 << 16
+
+# rows read per slice of a tally: whole-tally index lists cost MBs at large Q
+_ROW_BLOCK = 1 << 12
+
+
+class _Tally(Mapping[int, int]):
+    """Read-only {q: count} view of the nonzero entries of a count array indexed by q, ascending in q."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        self.array = array
+
+    def __getitem__(self, q: object) -> int:
+        try:
+            i = operator.index(q)
+        except TypeError:
+            raise KeyError(q) from None
+        if 0 <= i < self.array.size and self.array[i]:
+            return int(self.array[i])
+        raise KeyError(q)
+
+    def __iter__(self) -> Iterator[int]:
+        for lo in range(0, self.array.size, _ROW_BLOCK):
+            yield from (lo + np.flatnonzero(self.array[lo : lo + _ROW_BLOCK])).tolist()
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.array))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
 
 @dataclass(frozen=True)
 class ZarembaCensus:
     """Member counts per denominator q <= Q at digit bound K.
 
     counts holds the relaxed membership (last canonical digit allowed
-    up to K+1), strict_counts the all-digits-at-most-K variant. Only
-    denominators with at least one relaxed member are stored.
+    up to K+1), strict_counts the all-digits-at-most-K variant. Both are
+    given as {q: count} mappings and held as two int64 tallies indexed by
+    q <= Q, read back through read-only views of their nonzero entries.
     """
 
     K: int
@@ -49,19 +94,26 @@ class ZarembaCensus:
     strict_counts: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        # every strict member is a relaxed member; the first bad entry in dict order is reported
         if self.K < 1 or self.Q < 2:
             raise ValueError("census needs K >= 1 and Q >= 2")
-        (q, c), (sq, sc) = _entries(self.counts), _entries(self.strict_counts)
-        for keys, values in ((q, c), (sq, sc)):
-            bad = (keys < 2) | (keys > self.Q) | (values <= 0)
-            if bad.any():
-                raise ValueError(f"bad census entry q={keys[bad.argmax()]}")
-        relaxed = np.zeros(max(q.max(initial=0), sq.max(initial=0)) + 1, dtype=np.int64)
-        relaxed[q] = c
-        over = sc > relaxed[sq]
-        if over.any():
-            raise ValueError(f"strict count exceeds relaxed count at q={sq[over.argmax()]}")
+        views = (self.counts, self.strict_counts)
+        if all(isinstance(v, _Tally) and v.array.size == self.Q + 1 for v in views):
+            relaxed, strict = (v.array for v in views)
+            if (strict > relaxed).any():
+                raise ValueError(f"strict count exceeds relaxed count at q={(strict > relaxed).argmax()}")
+        else:  # the first bad entry in the mapping's order is reported
+            (q, c), (sq, sc) = _entries(self.counts), _entries(self.strict_counts)
+            for keys, values in ((q, c), (sq, sc)):
+                bad = (keys < 2) | (keys > self.Q) | (values <= 0)
+                if bad.any():
+                    raise ValueError(f"bad census entry q={keys[bad.argmax()]}")
+            relaxed, strict = np.zeros((2, self.Q + 1), dtype=np.int64)
+            relaxed[q], strict[sq] = c, sc
+            over = sc > relaxed[sq]
+            if over.any():
+                raise ValueError(f"strict count exceeds relaxed count at q={sq[over.argmax()]}")
+        object.__setattr__(self, "counts", _Tally(relaxed))
+        object.__setattr__(self, "strict_counts", _Tally(strict))
 
     def count(self, q: int) -> int:
         return self.counts.get(q, 0)
@@ -71,68 +123,26 @@ class ZarembaCensus:
 
     def total(self, upto: Optional[int] = None) -> int:
         """Relaxed members with denominator at most upto (all of them by default)."""
-        if upto is None or upto >= self.Q:
-            return sum(self.counts.values())
-        return sum(c for q, c in self.counts.items() if q <= upto)
+        stop = self.Q if upto is None else min(upto, self.Q)
+        return int(self.counts.array[: max(stop + 1, 0)].sum())
 
     def merge(self, other: "ZarembaCensus") -> "ZarembaCensus":
-        """Key-wise sum; branches of a split enumeration merge associatively."""
+        """Entry-wise sum; branches of a split enumeration merge associatively."""
         if (self.K, self.Q) != (other.K, other.Q):
             raise ValueError("can only merge censuses with equal K and Q")
-        counts, strict = dict(self.counts), dict(self.strict_counts)
-        for mine, theirs in ((counts, other.counts), (strict, other.strict_counts)):
-            for q, c in theirs.items():
-                mine[q] = mine.get(q, 0) + c
-        return ZarembaCensus(self.K, self.Q, counts, strict)
+        return ZarembaCensus(
+            self.K,
+            self.Q,
+            _Tally(self.counts.array + other.counts.array),
+            _Tally(self.strict_counts.array + other.strict_counts.array),
+        )
 
     def rows(self) -> Iterator[tuple[int, int, int]]:
         """(q, count_relaxed, count_strict) in ascending q, populated rows only."""
-        for q in sorted(self.counts):
-            yield q, self.counts[q], self.strict_counts.get(q, 0)
-
-
-def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> ZarembaCensus:
-    """Census of every level-K fraction with denominator at most Q.
-
-    Walks the digit tree breadth-first over (q_{k-1}, q_k) states,
-    closing each state with final digits 2..K+1 and extending it with
-    interior digits 1..K, none past Q (no digit of p/q exceeds q). A
-    state is pruned once even the cheapest closure (final digit 2)
-    overshoots Q, so the walk touches each admissible word exactly once.
-    first_digit restricts the walk to a single first-digit branch;
-    merging the branches recovers the full census.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if Q < 2:
-        raise ValueError("Q must be >= 2")
-    if first_digit is not None and not 1 <= first_digit <= K + 1:
-        raise ValueError(f"first digit must lie in [1, {K + 1}]")
-    digits = range(1, min(K + 1, Q) + 1)
-    first = digits if first_digit is None else (first_digit,)
-    closing, extending = [a for a in first if a >= 2], [a for a in first if a <= K]
-    relaxed = np.zeros(Q + 1, dtype=np.int64)
-    strict = np.zeros(Q + 1, dtype=np.int64)
-    # the walk starts at the empty word, (q_{-1}, q_0) = (0, 1)
-    prev, cur = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    while cur.size:
-        for a in closing:
-            qs = a * cur + prev
-            inside = qs <= Q
-            if inside.any():
-                hits = np.bincount(qs[inside], minlength=Q + 1)
-                relaxed += hits
-                if a <= K:
-                    strict += hits
-        nxt_prev, nxt_cur = [cur[:0]], [cur[:0]]  # empty seeds: branch K+1 extends nothing
-        for a in extending:
-            nc = a * cur + prev
-            alive = 2 * nc + cur <= Q
-            nxt_prev.append(cur[alive])
-            nxt_cur.append(nc[alive])
-        prev, cur = np.concatenate(nxt_prev), np.concatenate(nxt_cur)
-        closing, extending = digits[1:], digits[:K]
-    return ZarembaCensus(K, Q, _rows(relaxed), _rows(strict))
+        relaxed, strict = self.counts.array, self.strict_counts.array
+        for lo in range(0, relaxed.size, _ROW_BLOCK):
+            qs = lo + np.flatnonzero(relaxed[lo : lo + _ROW_BLOCK])
+            yield from zip(qs.tolist(), relaxed[qs].tolist(), strict[qs].tolist())
 
 
 def _entries(counts: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -144,14 +154,66 @@ def _entries(counts: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("bad census entry beyond int64") from None
 
 
-def _rows(tally: np.ndarray) -> dict[int, int]:
-    """{q: count} over the nonzero entries of a tally indexed by q, ascending."""
-    rows: dict[int, int] = {}
-    # in blocks: index lists of a whole large tally raise the memory peak by MBs
-    for lo in range(0, tally.size, 1 << 12):
-        qs = lo + np.flatnonzero(tally[lo : lo + (1 << 12)])
-        rows.update(zip(qs.tolist(), tally[qs].tolist()))
-    return rows
+def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> ZarembaCensus:
+    """Census of every level-K fraction with denominator at most Q.
+
+    Walks the digit tree depth-first over (q_{k-1}, q_k) states, popped
+    from a stack _BLOCK at a time. Each state of a block is closed with
+    final digits 2..K+1 and extended with interior digits 1..K, none past
+    Q (no digit of p/q exceeds q); the closures are tallied into the two
+    count arrays and the extensions pushed. A state is pruned once even
+    the cheapest closure (final digit 2) overshoots Q, so the walk touches
+    each admissible word exactly once. The digits of a block are tried in
+    increasing order, q_k + q_{k-1} first and one more q_k each time, and
+    a state leaves the block once its q passes Q; every value then stays
+    below 3Q, so the columns are int32 when 3Q < 2^31. first_digit
+    restricts the walk to a single first-digit branch; merging the
+    branches recovers the full census.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if Q < 2:
+        raise ValueError("Q must be >= 2")
+    if first_digit is not None and not 1 <= first_digit <= K + 1:
+        raise ValueError(f"first digit must lie in [1, {K + 1}]")
+    first = range(1, min(K + 1, Q) + 1) if first_digit is None else (first_digit,)
+    dtype = np.int32 if 3 * Q < 2**31 else np.int64
+    # strict takes the final digits 2..K and last the final digit K + 1;
+    # their sum is the relaxed tally
+    strict = np.zeros(Q + 1, dtype=np.int64)
+    last = np.zeros(Q + 1, dtype=np.int64)
+    # the empty word (q_{-1}, q_0) = (0, 1) closes with a lone digit a at q = a
+    for a in first:
+        if 2 <= a <= Q:
+            (strict if a <= K else last)[a] += 1
+    kids = [a for a in first if a <= K and 2 * a + 1 <= Q]
+    stack = [(np.ones(len(kids), dtype=dtype), np.array(kids, dtype=dtype))] if kids else []
+    while stack:
+        parts, size = [], 0
+        while stack and size < _BLOCK:
+            parts.append(stack.pop())
+            size += parts[-1][0].size
+        prev, cur = (np.concatenate(col) for col in zip(*parts))
+        if size > _BLOCK:
+            stack.append((prev[_BLOCK:], cur[_BLOCK:]))
+            prev, cur = prev[:_BLOCK], cur[:_BLOCK]
+        q = cur + prev
+        for a in range(1, K + 2):
+            if a >= 2:
+                np.add.at(strict if a <= K else last, q, 1)
+            if a > K:
+                break
+            alive = np.flatnonzero(2 * q + cur <= Q)
+            if alive.size:
+                stack.append((cur.take(alive), q.take(alive)))
+            q += cur
+            inside = np.flatnonzero(q <= Q)
+            if inside.size < q.size:
+                cur, q = cur.take(inside), q.take(inside)
+                if not q.size:
+                    break
+    last += strict
+    return ZarembaCensus(K, Q, _Tally(last), _Tally(strict))
 
 
 def _levels(q: np.ndarray, p: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,12 +279,10 @@ def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
             np.add.at(tally, q * width + np.searchsorted(bounds, level), 1)
     relaxed, strict = tallies.reshape(2, Q + 1, width).cumsum(axis=2)
     col = dict(zip(bounds.tolist(), range(width)))
-    return {K: ZarembaCensus(K, Q, _rows(relaxed[:, col[K]]), _rows(strict[:, col[K]])) for K in Ks}
-
-
-def brute_force_census(Q: int, K: int) -> ZarembaCensus:
-    """Quadratic-time cross-check for enumerate_bounded; keep Q modest."""
-    return brute_force_censuses(Q, (K,))[K]
+    return {
+        K: ZarembaCensus(K, Q, _Tally(relaxed[:, col[K]].copy()), _Tally(strict[:, col[K]].copy()))
+        for K in Ks
+    }
 
 
 def exponent_fit(census: ZarembaCensus) -> float:
@@ -234,14 +294,14 @@ def exponent_fit(census: ZarembaCensus) -> float:
     fluctuation of the raw counts; empty windows are skipped.
     """
     jmax = (census.Q + 1).bit_length() - 2
-    q, c = _entries(census.counts)
-    # window j holds the q of bit length j + 1; the float sums stay exact below 2^53
-    sums = np.bincount(np.frexp(q)[1] - 1, weights=c, minlength=jmax + 1)[: jmax + 1]
-    js = np.flatnonzero(sums[1:]) + 1
-    if js.size < 4:
+    tally = census.counts.array
+    # window j holds the q of bit length j + 1, tally[2^j : 2^{j+1}]
+    sums = {j: int(tally[1 << j : 2 << j].sum()) for j in range(1, jmax + 1)}
+    js = [j for j, s in sums.items() if s]
+    if len(js) < 4:
         raise ValueError("need at least 4 complete dyadic windows")
-    ys = [math.log(s / float(1 << j)) for j, s in zip(js.tolist(), sums[js].tolist())]
-    return float(np.polyfit((js + 0.5) * LN2, np.array(ys), 1)[0])
+    ys = [math.log(sums[j] / float(1 << j)) for j in js]
+    return float(np.polyfit((np.array(js) + 0.5) * LN2, np.array(ys), 1)[0])
 
 
 class HeightBoundError(AssertionError):
@@ -294,16 +354,3 @@ def height_bound_check(q: int, K: int) -> HeightBoundReport:
         )
     return HeightBoundReport(q, K, bound, int(ps.size), best, best_t, best_p)
 
-
-def dual_closure_fraction(q: int, K: int) -> float:
-    """Fraction of level-K members whose dual residue (p*p' = -1 mod q) is again one.
-
-    Digit reversal suggests closure but the relaxed last-digit slack
-    breaks it; measured and reported, never asserted. Vacuously 1.0
-    when q has no members.
-    """
-    have = {int(p) for p in members(q, K)}
-    if not have:
-        return 1.0
-    hit = sum(1 for p in have if dual_residue(p, q) in have)
-    return hit / len(have)

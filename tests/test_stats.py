@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from cforbit import stats
 from cforbit.arith import euler_phi, omega
 from cforbit.cfe import DigitHistogram, ReducedFraction, cfe_len
 from cforbit.lattice import height, orbit_point
@@ -267,6 +269,35 @@ def test_mass_escape_counts_are_frozen(name):
     draws, checked, sha = FROZEN_ESCAPE[name]
     got = [(r.count, r.escalations) for r in (mass_escape_count(q, M, t, checked) for q, M, t in draws())]
     assert hashlib.sha256(repr(got).encode()).hexdigest() == sha
+
+
+def test_mass_escape_counts_at_a_million_are_frozen():
+    # four residue chunks; captured from the single-pass count over coprime_array(q)
+    for M, t, want in ((2.0, 3.0, (249996, 0)), (5.0, 11.8, (38154, 0))):
+        rep = mass_escape_count(10**6 + 3, M, t)
+        assert (rep.count, rep.escalations) == want
+
+
+def test_mass_escape_counts_do_not_depend_on_the_chunk(monkeypatch):
+    # the last case escalates the final vector (q, 0) of all 96 residues
+    draws = [(q, M, t, False) for q, M, t in _unchecked_draws()[:100]] + [(97, 2.0, 2 * math.log(194.0), False)]
+    want = [(r.count, r.escalations) for r in (mass_escape_count(*d) for d in draws)]
+    assert want[-1] == (96, 96)
+    monkeypatch.setattr(stats, "_CHUNK", 7)
+    assert [(r.count, r.escalations) for r in (mass_escape_count(*d) for d in draws)] == want
+
+
+def test_mass_escape_memory_does_not_grow_with_q():
+    # per residue chunk: a full pass held about 130 bytes a residue
+    peaks = []
+    for q in (1000003, 3145729):
+        tracemalloc.start()
+        try:
+            mass_escape_count(q, 2.0, 3.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_mass_escape_report_fields():

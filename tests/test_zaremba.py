@@ -1,16 +1,19 @@
 import math
+import tracemalloc
+from collections.abc import Mapping
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cforbit import zaremba
 from cforbit.arith import coprime_array, euler_phi
 from cforbit.zaremba import (
     HeightBoundError,
     HeightBoundReport,
     ZarembaCensus,
-    brute_force_census,
     brute_force_censuses,
-    dual_closure_fraction,
     enumerate_bounded,
     exponent_fit,
     height_bound_check,
@@ -62,7 +65,6 @@ def test_tree_walk_matches_digit_filter():
         tree = enumerate_bounded(300, K)
         assert dict(tree.counts) == dict(brutes[K].counts)
         assert dict(tree.strict_counts) == dict(brutes[K].strict_counts)
-    assert dict(brute_force_census(300, 2).counts) == dict(brutes[2].counts)
 
 
 def test_first_digit_branches_merge_to_the_full_census():
@@ -79,6 +81,59 @@ def test_first_digit_branches_merge_to_the_full_census():
         enumerate_bounded(200, 3, first_digit=5)
     with pytest.raises(ValueError):
         enumerate_bounded(200, 3, first_digit=0)
+
+
+@lru_cache(maxsize=None)
+def _oracle(Q):
+    return brute_force_censuses(Q, (1, 2, 3, 4, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(Q=st.integers(2, 400), K=st.integers(1, 5))
+def test_blocked_walk_matches_the_digit_filter(Q, K):
+    # seven states a block: the stack splits and regathers blocks all the time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zaremba, "_BLOCK", 7)
+        tree = enumerate_bounded(Q, K)
+        parts = [enumerate_bounded(Q, K, first_digit=a) for a in range(1, K + 2)]
+    want = _oracle(Q)[K]
+    assert tree == want
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = merged.merge(part)
+    assert merged == want
+    assert list(merged.rows()) == list(want.rows())
+
+
+def test_census_holds_tallies_behind_read_only_views():
+    census = enumerate_bounded(300, 2)
+    assert isinstance(census.counts, Mapping) and isinstance(census.strict_counts, Mapping)
+    assert census.counts.array.dtype == np.int64 and census.counts.array.size == 301
+    with pytest.raises(ValueError):
+        census.counts.array[5] = 1
+    with pytest.raises(TypeError):
+        census.counts[5] = 1
+    assert 6 not in census.counts and census.counts.get(6) is None and census.counts.get(-1) is None
+    assert census.counts[5] == 2 and census.counts.get("5") is None
+    assert len(census.counts) == sum(1 for _ in census.rows())
+    # a view is a mapping like any other: it equals the dict of its entries
+    assert census.counts == dict(census.counts)
+    assert census == ZarembaCensus(2, 300, dict(census.counts), dict(census.strict_counts))
+    assert census != enumerate_bounded(300, 3)
+    assert census.total(-3) == 0 and census.total(10**9) == census.total()
+
+
+def test_walk_memory_is_its_two_tallies_and_a_few_blocks():
+    # the two int64 tallies take 16 MB at Q = 10^6; with a level-wide
+    # frontier, per-digit bincounts and {q: count} dicts the peak was 131.7 MB
+    tracemalloc.start()
+    try:
+        census = enumerate_bounded(10**6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.total() == 2981112
+    assert peak < 48 * 10**6, peak
 
 
 def test_members_examples():
@@ -111,6 +166,8 @@ def test_digit_bounds_beyond_q():
     every = {q: euler_phi(q) for q in range(2, 201)}
     assert dict(brutes[10**9].counts) == dict(brutes[10**9].strict_counts) == every
     assert enumerate_bounded(200, 10**9) == brutes[10**9]
+    # 1/2 = [2] alone, and no state left to extend
+    assert list(enumerate_bounded(2, 10**9).rows()) == [(2, 1, 1)]
     assert brute_force_censuses(200, (10**9,)) == {10**9: brutes[10**9]}
 
 
@@ -157,13 +214,6 @@ def test_height_bound_validation():
         height_bound_check(1, 1)
     with pytest.raises(ValueError):
         height_bound_check(10**6 + 1, 1)
-
-
-def test_dual_closure_is_measured_not_asserted():
-    assert dual_closure_fraction(89, 2) == 0.5
-    assert dual_closure_fraction(100, 3) == 1.0
-    # vacuous when q has no members at the bound
-    assert dual_closure_fraction(7, 1) == 1.0
 
 
 def test_census_members_are_consistent():
