@@ -26,7 +26,6 @@ from .cfe import (
     cfe_digits,
     cfe_len,
     convergents,
-    digit_histogram,
     from_digits,
     gauss_map,
     word_frequency,

@@ -181,20 +181,6 @@ class DigitHistogram:
         return sum(self.counts.values()) + self.overflow
 
 
-def digit_histogram(w: CfeWord, cap: int) -> DigitHistogram:
-    """Counts of digit values 1..cap; larger digits land in the overflow bucket."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    counts: dict[int, int] = {}
-    overflow = 0
-    for a in w.digits:
-        if a <= cap:
-            counts[a] = counts.get(a, 0) + 1
-        else:
-            overflow += 1
-    return DigitHistogram(cap, counts, overflow)
-
-
 def word_frequency(x: ReducedFraction, w: CfeWord) -> Fraction:
     """Sliding-window occurrences of w in the digit word of x, divided by len(x)."""
     digits = cfe_digits(x).digits

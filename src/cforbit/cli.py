@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import shlex
 import sys
@@ -35,7 +34,7 @@ from .stats import (
     mass_escape_count,
     orbit_fd_histogram,
 )
-from .zaremba import enumerate_bounded, height_bound_check
+from .zaremba import _ROW_BLOCK, enumerate_bounded, height_bound_check
 
 
 class ConfigError(ValueError):
@@ -223,13 +222,18 @@ def read_config_file(path: str) -> dict[str, str]:
 
 # ---------------------------------------------------------------- rows
 
-# one output row as `run` yields it: cell values in column order, JSON-only histogram
-OutputRow = tuple[tuple[object, ...], Optional[Mapping[str, object]]]
+# The runner contract. A runner yields column blocks: ({column: cells}, histogram),
+# every column of the subcommand's schema present as a sequence of cells, all
+# of one length. A block may hold any number of rows, none included; the
+# JSON-only histogram rides only on a one-row block. `run` checks each block
+# once and yields it as an OutputBlock: the columns in schema order.
+Block = tuple[Mapping[str, Sequence[object]], Optional[Mapping[str, object]]]
+OutputBlock = tuple[tuple[Sequence[object], ...], Optional[Mapping[str, object]]]
 
 # the exact types every runner yields; numpy scalars and subclasses take the chain
 _FMT_BY_TYPE: dict[type, Callable[[object], str]] = {
     bool: lambda v: "true" if v else "false",
-    int: int.__repr__,
+    int: repr,
     float: lambda v: f"{v:.12g}",
     str: str.__str__,
 }
@@ -250,6 +254,13 @@ def _fmt(v: object) -> str:
     raise TypeError(f"cannot format {type(v).__name__}")
 
 
+def _fmt_column(cells: Sequence[object]) -> Iterator[str]:
+    """_fmt over a column; a column of one exact type maps that type's formatter directly."""
+    kinds = set(map(type, cells))
+    exact = _FMT_BY_TYPE.get(kinds.pop()) if len(kinds) == 1 else None
+    return map(exact or _fmt, cells)
+
+
 def _json_value(v: object) -> str:
     """JSON text with the plain-text numbers of _fmt."""
     if v is None:
@@ -264,12 +275,13 @@ def _json_value(v: object) -> str:
     return _fmt(v)
 
 
-def emit(rows: Iterable[OutputRow], config: ExperimentConfig, stream: TextIO) -> int:
-    """Write the row stream of `run`; returns the number of rows.
+def emit(blocks: Iterable[OutputBlock], config: ExperimentConfig, stream: TextIO) -> int:
+    """Write the block stream of `run`; returns the number of rows.
 
     CSV: comment preamble (version, schema, config), header, one line per
-    row, fixed column order. JSON: a meta object line, then one object
-    per row. Histogram payloads appear in JSON only.
+    row, fixed column order; each block is formatted column by column and
+    written at once. JSON: a meta object line, then one object per row.
+    Histogram payloads appear in JSON only.
     """
     sub = _SUBCOMMANDS[config.subcommand]
     echo = config.echo()
@@ -280,9 +292,12 @@ def emit(rows: Iterable[OutputRow], config: ExperimentConfig, stream: TextIO) ->
         cfg_text = " ".join(f"{k}={shlex.quote(_config_value(v))}" for k, v in echo.items())
         stream.write(f"# config {cfg_text}\n")
         stream.write(",".join(sub.columns) + "\n")
-        for values, _ in rows:
-            stream.write(",".join(map(_fmt, values)) + "\n")
-            n += 1
+        for columns, _ in blocks:
+            rows = len(columns[0])
+            if rows:
+                cells = zip(*map(_fmt_column, columns))
+                stream.write("\n".join(map(",".join, cells)) + "\n")
+                n += rows
     else:
         meta = {
             "record": "meta",
@@ -292,12 +307,13 @@ def emit(rows: Iterable[OutputRow], config: ExperimentConfig, stream: TextIO) ->
             "config": echo,
         }
         stream.write(_json_value(meta) + "\n")
-        for values, histogram in rows:
-            body = {"record": "row", **dict(zip(sub.columns, values))}
-            if histogram is not None:
-                body["histogram"] = histogram
-            stream.write(_json_value(body) + "\n")
-            n += 1
+        for columns, histogram in blocks:
+            for values in zip(*columns):
+                body = {"record": "row", **dict(zip(sub.columns, values))}
+                if histogram is not None:
+                    body["histogram"] = histogram
+                stream.write(_json_value(body) + "\n")
+                n += 1
     return n
 
 
@@ -305,80 +321,11 @@ def _config_value(v: object) -> str:
     return ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
 
 
-# ------------------------------------------------------- parse / render
-
-@dataclass(frozen=True)
-class ParsedOutput:
-    """Typed view of an emitted file; render_output(parse_output(s)) == s."""
-
-    fmt: str
-    comments: tuple[str, ...]
-    columns: tuple[str, ...]
-    rows: tuple[object, ...]  # csv: tuples of cell values; json: row dicts
-    meta: Optional[Mapping[str, object]] = None
-
-
-def _parse_cell(cell: str) -> object:
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell, 10)
-    except ValueError:
-        pass
-    try:
-        f = float(cell)
-    except ValueError:
-        return cell
-    return f if math.isfinite(f) else cell
-
-
-def parse_output(text: str) -> ParsedOutput:
-    lines = text.splitlines()
-    if lines and lines[0].startswith("{"):
-        objs = [json.loads(line) for line in lines if line]
-        if not objs or objs[0].get("record") != "meta":
-            raise ValueError("JSON output must start with a meta record")
-        meta = objs[0]
-        return ParsedOutput(
-            "json",
-            (),
-            tuple(meta.get("columns", ())),
-            tuple(objs[1:]),
-            meta,
-        )
-    comments = []
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        comments.append(lines[i])
-        i += 1
-    if i >= len(lines):
-        raise ValueError("CSV output is missing its header line")
-    columns = tuple(lines[i].split(","))
-    rows = tuple(
-        tuple(_parse_cell(c) for c in line.split(","))
-        for line in lines[i + 1 :]
-        if line
-    )
-    return ParsedOutput("csv", tuple(comments), columns, rows)
-
-
-def render_output(parsed: ParsedOutput) -> str:
-    """Re-emit a parsed output through the same formatting path."""
-    if parsed.fmt == "json":
-        lines = [_json_value(parsed.meta)]
-        lines += [_json_value(row) for row in parsed.rows]
-        return "\n".join(lines) + "\n"
-    lines = list(parsed.comments)
-    lines.append(",".join(parsed.columns))
-    lines += [",".join(_fmt(c) for c in row) for row in parsed.rows]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------- runners
 
-Row = tuple[Mapping[str, object], Optional[Mapping[str, object]]]
+def _one_row(cells: Mapping[str, object]) -> dict[str, tuple[object]]:
+    """The one-row block of {column: value}."""
+    return {c: (v,) for c, v in cells.items()}
 
 
 def _single_q(cfg: ExperimentConfig) -> int:
@@ -388,82 +335,86 @@ def _single_q(cfg: ExperimentConfig) -> int:
     return cfg.q[0]
 
 
-def _run_cfe(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_cfe(cfg: ExperimentConfig) -> Iterator[Block]:
     x = ReducedFraction(cfg.p, _single_q(cfg))
     w = cfe_digits(x)
-    yield {
+    yield _one_row({
         "p": x.p,
         "q": x.q,
         "len": len(w.digits),
         "digits": " ".join(str(d) for d in w.digits),
-    }, None
+    }), None
 
 
-def _run_sweep_len(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_sweep_len(cfg: ExperimentConfig) -> Iterator[Block]:
     for q in cfg.q or ():
         s = len_stats(q, cfg.bins)
-        yield {
+        yield _one_row({
             "q": s.q,
             "phi": s.phi,
             "mean_len": float(s.mean_len),
             "var_len": float(s.var_len),
             "mean_ratio": float(s.mean_len) / (2.0 * math.log(s.q)),
             "ks_to_gauss": s.ks_to_gauss,
-        }, None
+        }), None
 
 
-def _run_sweep_digits(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_sweep_digits(cfg: ExperimentConfig) -> Iterator[Block]:
     # digit 0 stands for the overflow bucket (values above the cap)
     for q in cfg.q or ():
-        s = len_stats(q, cfg.bins)
-        pool = s.digit_hist.total
-        for d in sorted(s.digit_hist.counts):
-            c = s.digit_hist.counts[d]
-            yield {"q": q, "digit": d, "count": c, "frequency": c / pool}, None
-        if s.digit_hist.overflow:
-            c = s.digit_hist.overflow
-            yield {"q": q, "digit": 0, "count": c, "frequency": c / pool}, None
+        h = len_stats(q, cfg.bins).digit_hist
+        digits = sorted(h.counts)
+        counts = [h.counts[d] for d in digits]
+        if h.overflow:
+            digits.append(0)
+            counts.append(h.overflow)
+        pool = h.total
+        yield {
+            "q": [q] * len(digits),
+            "digit": digits,
+            "count": counts,
+            "frequency": [c / pool for c in counts],
+        }, None
 
 
-def _run_dispersion(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_dispersion(cfg: ExperimentConfig) -> Iterator[Block]:
     for q in cfg.q or ():
-        yield {"q": q, "delta": cfg.delta, "dispersion": dispersion(q, cfg.delta)}, None
+        yield _one_row({"q": q, "delta": cfg.delta, "dispersion": dispersion(q, cfg.delta)}), None
 
 
-def _run_orbit(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_orbit(cfg: ExperimentConfig) -> Iterator[Block]:
     x = ReducedFraction(cfg.p, _single_q(cfg))
-    for s in orbit_samples(x, cfg.dt, cfg.t_max):
-        yield {
-            "t": s.t,
-            "height": s.height,
-            "fd_x": s.fd_point[0],
-            "fd_y": s.fd_point[1],
-        }, None
+    samples = orbit_samples(x, cfg.dt, cfg.t_max)
+    yield {
+        "t": [s.t for s in samples],
+        "height": [s.height for s in samples],
+        "fd_x": [s.fd_point[0] for s in samples],
+        "fd_y": [s.fd_point[1] for s in samples],
+    }, None
 
 
-def _run_cross_section(cfg: ExperimentConfig) -> Iterator[Row]:
-    x = ReducedFraction(cfg.p, _single_q(cfg))
-    for k, rec in enumerate(crossing_sequence(x), 1):
-        yield {
-            "k": k,
-            "y": float(rec.point.y),
-            "z": float(rec.point.z),
-            "eps": rec.point.eps,
-            "t": rec.t,
-        }, None
+def _run_cross_section(cfg: ExperimentConfig) -> Iterator[Block]:
+    records = crossing_sequence(ReducedFraction(cfg.p, _single_q(cfg)))
+    yield {
+        "k": list(range(1, len(records) + 1)),
+        "y": [float(rec.point.y) for rec in records],
+        "z": [float(rec.point.z) for rec in records],
+        "eps": [rec.point.eps for rec in records],
+        "t": [rec.t for rec in records],
+    }, None
 
 
-def _run_kappa(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_kappa(cfg: ExperimentConfig) -> Iterator[Block]:
     k = kappa_quadrature()
     target = 3.0 / (math.pi * math.pi)
-    yield {"kappa": k, "target": target, "abs_err": abs(k - target)}, None
+    yield _one_row({"kappa": k, "target": target, "abs_err": abs(k - target)}), None
 
 
-def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Block]:
     q = _single_q(cfg)
     for M in cfg.M or ():
         r = mass_escape_count(q, M, cfg.t)
-        yield {
+        yield _one_row({
             "q": r.q,
             "M": r.M,
             "t": r.t,
@@ -472,7 +423,7 @@ def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Row]:
             "ratio": r.count / float(r.bound),
             "in_hypothesis": r.in_hypothesis,
             "escalations": r.escalations,
-        }, None
+        }), None
 
 
 def _histogram_payload(h: FdHistogram) -> dict[str, object]:
@@ -480,13 +431,13 @@ def _histogram_payload(h: FdHistogram) -> dict[str, object]:
     return {"grid": h.grid, "observed": (h.weights / h.weights.sum()).ravel(), "expected": h.expected.ravel()}
 
 
-def _run_fd_hist(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_fd_hist(cfg: ExperimentConfig) -> Iterator[Block]:
     q = _single_q(cfg)
     h = orbit_fd_histogram(
         q, dt=cfg.dt, grid=cfg.grid, sample_size=cfg.sample_size, seed=cfg.seed
     )
     cells = int(np.count_nonzero(h.expected > 0))
-    yield {
+    yield _one_row({
         "q": q,
         "dt": cfg.dt,
         "grid": cfg.grid,
@@ -494,10 +445,10 @@ def _run_fd_hist(cfg: ExperimentConfig) -> Iterator[Row]:
         "seed": cfg.seed,
         "cells": cells,
         "discrepancy": h.discrepancy(),
-    }, _histogram_payload(h)
+    }), _histogram_payload(h)
 
 
-def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Block]:
     rng = np.random.default_rng(cfg.seed)
     h = haar_fd_histogram(rng, cfg.n, cfg.grid)
     cells = int(np.count_nonzero(h.expected > 0))
@@ -506,7 +457,7 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
     # five sigmas above the multinomial expectation (K-1)/n
     gate = (cells - 1 + 5.0 * math.sqrt(2.0 * (cells - 1))) / cfg.n
     ok = disc < gate
-    yield {
+    yield _one_row({
         "n": cfg.n,
         "grid": cfg.grid,
         "seed": cfg.seed,
@@ -514,23 +465,27 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Row]:
         "discrepancy": disc,
         "noise_floor": floor,
         "ok": ok,
-    }, _histogram_payload(h)
+    }), _histogram_payload(h)
     if not ok:
         raise SelfTestError(
             f"haar self-test discrepancy {disc:.6g} above gate {gate:.6g}"
         )
 
 
-def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Block]:
+    # the rows of ZarembaCensus.rows(), read off the tallies a slice of q at a time
     assert cfg.q_max is not None and cfg.K is not None
-    for q, relaxed, strict in enumerate_bounded(cfg.q_max, cfg.K).rows():
-        yield {"q": q, "count_relaxed": relaxed, "count_strict": strict}, None
+    census = enumerate_bounded(cfg.q_max, cfg.K)
+    relaxed, strict = census.counts.array, census.strict_counts.array
+    for lo in range(0, relaxed.size, _ROW_BLOCK):
+        qs = lo + np.flatnonzero(relaxed[lo : lo + _ROW_BLOCK])
+        yield {"q": qs.tolist(), "count_relaxed": relaxed[qs].tolist(), "count_strict": strict[qs].tolist()}, None
 
 
-def _run_zaremba_height(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_zaremba_height(cfg: ExperimentConfig) -> Iterator[Block]:
     for q in cfg.q or ():
         r = height_bound_check(q, cfg.K)
-        yield {
+        yield _one_row({
             "q": r.q,
             "K": r.K,
             "checked": r.checked,
@@ -538,10 +493,10 @@ def _run_zaremba_height(cfg: ExperimentConfig) -> Iterator[Row]:
             "max_height": r.max_height,
             "argmax_t": r.argmax_t,
             "argmax_p": r.argmax_p,
-        }, None
+        }), None
 
 
-def _run_symmetry_check(cfg: ExperimentConfig) -> Iterator[Row]:
+def _run_symmetry_check(cfg: ExperimentConfig) -> Iterator[Block]:
     assert cfg.q_max is not None
     pairs = 0
     failures = 0
@@ -554,7 +509,7 @@ def _run_symmetry_check(cfg: ExperimentConfig) -> Iterator[Row]:
                 verify_symmetry(p, q)
             except SymmetryError:
                 failures += 1
-    yield {"q_max": cfg.q_max, "pairs_checked": pairs, "failures": failures}, None
+    yield _one_row({"q_max": cfg.q_max, "pairs_checked": pairs, "failures": failures}), None
     if failures:
         raise SymmetryError(f"{failures} of {pairs} pairs failed the exact symmetry check")
 
@@ -576,7 +531,7 @@ class _SubSpec:
     help: str
     params: Mapping[str, object]  # name -> default or _REQUIRED, in flag and echo order
     columns: tuple[str, ...]
-    runner: Callable[[ExperimentConfig], Iterator[Row]]
+    runner: Callable[[ExperimentConfig], Iterator[Block]]
     version: int = 1  # bumped when a column changes meaning
 
     @property
@@ -683,22 +638,29 @@ _SUBCOMMANDS: dict[str, _SubSpec] = {
 }
 
 
-def run(config: ExperimentConfig) -> Iterator[OutputRow]:
-    """Dispatch to the owning module; yields (values in column order, histogram) per output row."""
+def _all_finite(cells: Sequence[object]) -> bool:
+    """False when a float cell is inf or nan; a column without floats passes on its types alone."""
+    if not any(issubclass(t, float) for t in set(map(type, cells))):
+        return True
+    return all(math.isfinite(v) for v in cells if isinstance(v, float))
+
+
+def run(config: ExperimentConfig) -> Iterator[OutputBlock]:
+    """Dispatch to the owning module; yields (columns in schema order, histogram) per checked block."""
     sub = _SUBCOMMANDS[config.subcommand]
-    pick = operator.itemgetter(*sub.columns)
-    one = len(sub.columns) == 1  # itemgetter of one key returns the bare value
-    for metrics, histogram in sub.runner(config):
+    for block, histogram in sub.runner(config):
         try:
-            values = (pick(metrics),) if one else pick(metrics)
+            columns = tuple(block[c] for c in sub.columns)
         except KeyError:
-            missing = [c for c in sub.columns if c not in metrics]
+            missing = [c for c in sub.columns if c not in block]
             raise RuntimeError(f"runner dropped columns {missing}") from None
-        for v in values:
-            if isinstance(v, float) and not math.isfinite(v):
-                c = next(c for c, x in zip(sub.columns, values) if x is v)
+        lengths = {c: len(cells) for c, cells in zip(sub.columns, columns)}
+        if len(set(lengths.values())) != 1:
+            raise RuntimeError(f"runner columns differ in length: {lengths}")
+        for c, cells in zip(sub.columns, columns):
+            if not _all_finite(cells):
                 raise ValueError(f"metric {c} is not finite")
-        yield values, histogram
+        yield columns, histogram
 
 
 # ----------------------------------------------------------------- main

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Union
 import mpmath
 import numpy as np
 
-from .arith import Modulus, _coprime_mask, _euclid_rounds, coprime_array, euler_phi, factorize, omega
+from .arith import Modulus, _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
 from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
@@ -255,13 +255,26 @@ def orbit_height_tail(x: ReducedFraction, M: float) -> float:
 
 
 def _residue_sample(q: int, sample_size: int, seed: int) -> np.ndarray:
-    """The coprime residues of q, or a sorted seeded subsample of sample_size of them."""
+    """The coprime residues of q, or a sorted seeded subsample of sample_size of them.
+
+    The sample is the one rng.choice(coprime_array(q), sample_size,
+    replace=False) draws: choice picks positions first, and these are
+    read off the sieve chunks of _residue_chunks, so only the chunks
+    are ever held.
+    """
     if sample_size < 1:
         raise ValueError("sample-size must be >= 1")
-    residues = coprime_array(q)
-    if residues.size > sample_size:
-        rng = np.random.default_rng(seed)
-        residues = np.sort(rng.choice(residues, size=sample_size, replace=False))
+    phi = euler_phi(q)
+    if phi > sample_size:
+        picks = np.sort(np.random.default_rng(seed).choice(phi, size=sample_size, replace=False))
+    else:
+        picks = np.arange(phi)
+    residues = np.empty(picks.size, dtype=np.int64)
+    start = 0
+    for chunk in _residue_chunks(q):
+        lo, hi = np.searchsorted(picks, (start, start + chunk.size))
+        residues[lo:hi] = chunk[picks[lo:hi] - start]
+        start += chunk.size
     return residues
 
 

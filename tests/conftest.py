@@ -1,3 +1,4 @@
+import json
 import math
 
 from hypothesis import HealthCheck, settings, strategies as st
@@ -23,3 +24,25 @@ def reduced_fractions(draw, max_q: int = 3000):
     if q == 1:
         p, q = 1, 2
     return ReducedFraction(p, q)
+
+
+def read_rows(text: str) -> tuple[tuple[str, ...], list[dict]]:
+    """Columns and rows of a CLI output, CSV or JSON lines, each row a {column: value} dict.
+
+    A CSV cell reads as the JSON value it spells (true, 3, 0.25) or else as
+    its text; a JSON row keeps its histogram payload.
+    """
+    lines = text.splitlines()
+    if lines[0].startswith("{"):
+        columns = tuple(json.loads(lines[0])["columns"])
+        return columns, [json.loads(line) for line in lines[1:]]
+    body = [line for line in lines if not line.startswith("#")]
+    columns = tuple(body[0].split(","))
+    return columns, [dict(zip(columns, map(_cell, line.split(",")))) for line in body[1:]]
+
+
+def _cell(text: str) -> object:
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text

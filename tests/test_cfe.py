@@ -11,7 +11,6 @@ from cforbit.cfe import (
     cfe_digits,
     cfe_len,
     convergents,
-    digit_histogram,
     from_digits,
     gauss_map,
     word_frequency,
@@ -145,16 +144,6 @@ def test_second_iterate_matches_complement_of_upper_half():
             assert lhs == gauss_map(x.complement())
     y = gauss_map(gauss_map(ReducedFraction(3, 10)))
     assert y != gauss_map(ReducedFraction(7, 10))
-
-
-def test_digit_histogram_counts_and_overflow():
-    w = CfeWord((3, 7, 16, 3, 2))
-    h = digit_histogram(w, 10)
-    assert h.counts == {3: 2, 7: 1, 2: 1}
-    assert h.overflow == 1
-    assert h.total == 5
-    with pytest.raises(ValueError):
-        digit_histogram(w, 0)
 
 
 def test_word_frequency_is_a_sliding_window_count():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cforbit import __version__
+from cforbit import __version__, zaremba
 from cforbit.arith import euler_phi
 from cforbit.cli import (
     _SUBCOMMANDS,
@@ -16,11 +16,10 @@ from cforbit.cli import (
     build_config,
     emit,
     main,
-    parse_output,
     read_config_file,
-    render_output,
     run,
 )
+from conftest import read_rows
 
 
 def capture(argv) -> ExperimentConfig:
@@ -122,72 +121,60 @@ def test_json_shape():
     assert row == {"record": "row", "p": 113, "q": 355, "len": 3, "digits": "3 7 16"}
 
 
-def test_round_trip_is_byte_identical():
-    for argv in (
-        ["sweep-len", "--q", "101,1009", "--threads", "1"],
-        ["sweep-len", "--q", "101", "--format", "json", "--threads", "1"],
-        ["cross-section", "--p", "113", "--q", "355", "--threads", "1"],
-        ["mass-escape", "--q", "97", "--M", "2,3", "--t", "0", "--format", "json", "--threads", "1"],
-    ):
-        text = emit_text(argv)
-        assert render_output(parse_output(text)) == text
-
-
 def test_cross_section_rows():
-    parsed = parse_output(emit_text(["cross-section", "--p", "113", "--q", "355", "--threads", "1"]))
-    assert parsed.columns == ("k", "y", "z", "eps", "t")
-    assert [r[0] for r in parsed.rows] == [1, 2]
-    assert parsed.rows[0][1] == pytest.approx(16 / 113, abs=1e-12)
-    assert [r[3] for r in parsed.rows] == [-1, 1]
-    assert parsed.rows[0][4] < parsed.rows[1][4]
+    columns, rows = read_rows(emit_text(["cross-section", "--p", "113", "--q", "355", "--threads", "1"]))
+    assert columns == ("k", "y", "z", "eps", "t")
+    assert [r["k"] for r in rows] == [1, 2]
+    assert rows[0]["y"] == pytest.approx(16 / 113, abs=1e-12)
+    assert [r["eps"] for r in rows] == [-1, 1]
+    assert rows[0]["t"] < rows[1]["t"]
 
 
 def test_sweep_digits_rows():
-    parsed = parse_output(emit_text(["sweep-digits", "--q", "5", "--threads", "1"]))
-    assert parsed.columns == ("q", "digit", "count", "frequency")
-    assert [(r[1], r[2]) for r in parsed.rows] == [(1, 3), (2, 3), (4, 1), (5, 1)]
-    assert parsed.rows[0][3] == pytest.approx(3 / 8)
+    columns, rows = read_rows(emit_text(["sweep-digits", "--q", "5", "--threads", "1"]))
+    assert columns == ("q", "digit", "count", "frequency")
+    assert [(r["digit"], r["count"]) for r in rows] == [(1, 3), (2, 3), (4, 1), (5, 1)]
+    assert rows[0]["frequency"] == pytest.approx(3 / 8)
 
 
 def test_orbit_rows_cover_the_lifespan():
-    parsed = parse_output(emit_text(["orbit", "--p", "2", "--q", "5", "--threads", "1"]))
+    _, rows = read_rows(emit_text(["orbit", "--p", "2", "--q", "5", "--threads", "1"]))
     span = 2 * math.log(5)
-    assert len(parsed.rows) == math.ceil(span / 0.05) + 1
-    assert parsed.rows[0][0] == 0
-    assert parsed.rows[-1][0] == pytest.approx(span, abs=1e-9)
-    short = parse_output(
+    assert len(rows) == math.ceil(span / 0.05) + 1
+    assert rows[0]["t"] == 0
+    assert rows[-1]["t"] == pytest.approx(span, abs=1e-9)
+    _, short = read_rows(
         emit_text(["orbit", "--p", "2", "--q", "5", "--t-max", "1.0", "--threads", "1"])
     )
-    assert short.rows[-1][0] == 1.0
+    assert short[-1]["t"] == 1.0
 
 
 def test_mass_escape_rows():
-    parsed = parse_output(
+    columns, rows = read_rows(
         emit_text(["mass-escape", "--q", "97", "--M", "2,3", "--t", "0", "--threads", "1"])
     )
-    assert parsed.columns == ("q", "M", "t", "count", "bound", "ratio", "in_hypothesis", "escalations")
-    assert len(parsed.rows) == 2
-    for row in parsed.rows:
-        assert row[3] == 0 and row[6] is True
+    assert columns == ("q", "M", "t", "count", "bound", "ratio", "in_hypothesis", "escalations")
+    assert len(rows) == 2
+    for row in rows:
+        assert row["count"] == 0 and row["in_hypothesis"] is True
 
 
 def test_haar_selftest_passes_at_default_size():
-    parsed = parse_output(emit_text(["haar-selftest", "--threads", "1"]))
-    (row,) = parsed.rows
-    assert row[0] == 100000
-    assert row[6] is True
-    assert row[5] > 0
-    assert row[4] < 10 * row[5]  # discrepancy within an order of the noise floor
+    _, (row,) = read_rows(emit_text(["haar-selftest", "--threads", "1"]))
+    assert row["n"] == 100000
+    assert row["ok"] is True
+    assert row["noise_floor"] > 0
+    assert row["discrepancy"] < 10 * row["noise_floor"]  # within an order of the noise floor
 
 
 def test_fd_hist_payload_is_json_only():
     argv = ["fd-hist", "--q", "101", "--dt", "0.1", "--grid", "8",
             "--sample-size", "20", "--threads", "1"]
-    csv_parsed = parse_output(emit_text(argv))
-    assert csv_parsed.columns == ("q", "dt", "grid", "sample_size", "seed", "cells", "discrepancy")
-    assert len(csv_parsed.rows) == 1
-    json_parsed = parse_output(emit_text(argv + ["--format", "json"]))
-    hist = json_parsed.rows[0]["histogram"]
+    columns, rows = read_rows(emit_text(argv))
+    assert columns == ("q", "dt", "grid", "sample_size", "seed", "cells", "discrepancy")
+    assert len(rows) == 1 and "histogram" not in rows[0]
+    _, json_rows = read_rows(emit_text(argv + ["--format", "json"]))
+    hist = json_rows[0]["histogram"]
     assert len(hist["observed"]) == len(hist["expected"]) == 64
     assert sum(hist["observed"]) == pytest.approx(1.0, abs=1e-9)
     assert sum(hist["expected"]) == pytest.approx(1.0, abs=1e-9)
@@ -272,23 +259,81 @@ def test_main_invariant_failures_exit_2(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "invariant"
 
     def dropping(cfg):
-        yield {"kappa": 1.0}, None
+        yield {"kappa": [1.0]}, None
 
     monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=dropping))
     assert main(["kappa", "--threads", "1"]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[0]) == {
+        "error": "invariant", "message": "runner dropped columns ['target', 'abs_err']"
+    }
+
+
+def test_unequal_columns_exit_2(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["kappa"]
+
+    def ragged(cfg):
+        yield {"kappa": [1.0, 2.0], "target": [1.0, 2.0], "abs_err": [0.0]}, None
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=ragged))
+    assert main(["kappa", "--threads", "1"]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["error"] == "invariant" and "differ in length" in err["message"]
 
 
 def test_record_and_formatting_rules(capsys, monkeypatch):
     spec = _SUBCOMMANDS["kappa"]
 
     def unbounded(cfg):
-        yield {"kappa": 1.0, "target": math.inf, "abs_err": 0.0}, None
+        yield {"kappa": [1.0], "target": [math.inf], "abs_err": [0.0]}, None
 
     monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=unbounded))
     with pytest.raises(ValueError, match="metric target is not finite"):
         list(run(build_config(["kappa", "--threads", "1"])))
     assert main(["kappa", "--threads", "1"]) == 1
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+
+
+def test_non_finite_float_deep_in_a_block(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["kappa"]
+
+    def third_row_nan(cfg):
+        yield {"kappa": [1, 2, 3, 4], "target": [0.5, 0.25, math.nan, 0.125], "abs_err": ["a"] * 4}, None
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=third_row_nan))
+    with pytest.raises(ValueError, match="metric target is not finite"):
+        list(run(build_config(["kappa", "--threads", "1"])))
+    assert main(["kappa", "--threads", "1"]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": "config", "message": "metric target is not finite"
+    }
+
+
+def test_summary_counts_rows_not_blocks(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["kappa"]
+
+    def three_blocks(cfg):
+        for n in (3, 0, 2):
+            yield {"kappa": [1.0] * n, "target": [2.0] * n, "abs_err": [1.0] * n}, None
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=three_blocks))
+    for fmt in ("csv", "json"):
+        assert main(["kappa", "--threads", "1", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert "kappa: 5 rows, seed 0" in err
+        assert len(read_rows(out)[1]) == 5
+
+
+def test_census_export_spanning_row_blocks_matches_the_rows():
+    Q = 3 * zaremba._ROW_BLOCK + 100
+    rows = list(zaremba.enumerate_bounded(Q, 2).rows())
+    assert rows[-1][0] > 3 * zaremba._ROW_BLOCK
+    argv = ["zaremba-census", "--q-max", str(Q), "--K", "2", "--threads", "1"]
+    csv_lines = emit_text(argv).splitlines()[4:]
+    assert csv_lines == [f"{q},{r},{s}" for q, r, s in rows]
+    json_lines = emit_text(argv + ["--format", "json"]).splitlines()[1:]
+    assert json_lines == [
+        f'{{"record":"row","q":{q},"count_relaxed":{r},"count_strict":{s}}}' for q, r, s in rows
+    ]
 
 
 class _Float(float):

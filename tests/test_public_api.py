@@ -9,7 +9,7 @@ PUBLIC = """
     SectionDomainError SweepSummary SymmetryError ZarembaCensus __version__
     averaged_height_tail brute_force_censuses cfe_digits cfe_len
     convergents coprime_array count_coprime_upto crossing_sequence
-    cylinder_interval detect_crossings_numeric detect_events_numeric digit_histogram
+    cylinder_interval detect_crossings_numeric detect_events_numeric
     digit_one_frequency digit_probability dispersion
     dual_point dual_residue enumerate_bounded euler_phi exponent_fit factorize
     fd_cell_masses first_crossing from_digits gauss_cdf gauss_density gauss_map

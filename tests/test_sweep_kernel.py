@@ -125,6 +125,23 @@ def test_residue_chunk_columns_are_int32_below_2_to_31(q, dtype):
     assert np.all(np.gcd(first, q) == 1)
 
 
+@given(
+    q=st.integers(min_value=2, max_value=10**5),
+    sample_size=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    chunk=st.sampled_from((97, _CHUNK)),
+)
+def test_residue_sample_is_the_choice_over_the_coprime_array(q, sample_size, seed, chunk):
+    residues = coprime_array(q)
+    if residues.size > sample_size:
+        residues = np.sort(np.random.default_rng(seed).choice(residues, size=sample_size, replace=False))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_CHUNK", chunk)
+        sample = stats._residue_sample(q, sample_size, seed)
+    assert sample.dtype == residues.dtype
+    assert np.array_equal(sample, residues)
+
+
 def test_sweep_refuses_bin_indices_past_the_int64_ceiling():
     # raised before any work: factorizing 2^55 + 1 by trial division would take minutes
     with pytest.raises(ValueError, match="2\\^63"):
