@@ -34,7 +34,7 @@ from .stats import (
     mass_escape_count,
     orbit_fd_histogram,
 )
-from .zaremba import _ROW_BLOCK, enumerate_bounded, height_bound_check
+from .zaremba import _ROW_BLOCK, HEIGHT_Q_MAX, enumerate_bounded, height_bound_check
 
 
 class ConfigError(ValueError):
@@ -183,6 +183,8 @@ class ExperimentConfig:
                 raise ConfigError(meta["message"])
         if self.subcommand in _SWEEPS and any(x < SWEEP_Q_MIN for x in self.q or ()):
             raise ConfigError(f"every q must be >= {SWEEP_Q_MIN} for {self.subcommand}")
+        if self.subcommand == "zaremba-height" and any(x > HEIGHT_Q_MAX for x in self.q or ()):
+            raise ConfigError(f"every q must be <= {HEIGHT_Q_MAX} for {self.subcommand}")
 
     def echo(self) -> dict[str, object]:
         """Config as an ordered mapping, embedded into every output.

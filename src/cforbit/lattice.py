@@ -312,9 +312,10 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     return fx, fy
 
 
-def _excursions(q: int, ps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+def _excursions(q: int | np.ndarray, ps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The excursions of the orbits of p/q toward the cusp, one Euclid round at a time.
 
+    q is one denominator for every p in ps, or an int64 column of them.
     Each round yields (idx, q_k, r_k, rem) over the live columns: the index
     of p in ps, the k-th continuant, the k-th Euclid divisor and remainder.
     The orbit vector (q_k e^{-t/2}, (r_k/q) e^{t/2}) is shortest at
@@ -328,12 +329,13 @@ def _excursions(q: int, ps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """
     n = ps.size
     qs = np.full(n, q, dtype=np.int64)
-    rounds = _euclid_rounds(qs, ps, np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64))
-    for _, b, d, r, (idx, qk1, qk) in rounds:
+    # q_{k+1} = d q_k + q_{k-1} is written over q_{k-1}, so the two carried
+    # continuants swap roles every round
+    rounds = _euclid_rounds(qs, ps, np.arange(n), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    for k, (_, b, d, r, (idx, *pair)) in enumerate(rounds):
+        qk, qk1 = pair[k & 1], pair[~k & 1]
         yield idx, qk, b, r
-        nxt = d * qk + qk1
-        qk1[:] = qk
-        qk[:] = nxt
+        qk1 += d * qk
 
 
 def fd_point_floats(a: float, b: float, c: float, d: float) -> tuple[float, float]:

@@ -21,13 +21,25 @@ member when its level is at most K. Orbits of
 members must stay below height sqrt(2)*(K+1)^{3/2} over their whole
 lifetime; height_bound_check checks that against the exact largest
 height, read in closed form from the Euclid chains of the members.
+
+members and height_bound_check read q off a block of consecutive
+denominators: q in [2^j, 2^{j+1}) lies in the aligned block of width
+2^min(j, max(0, c - j)), c = floor(log2 _PAIR_CHUNK), about _PAIR_CHUNK
+coprime pairs, and from q = 2^c on every q is a block of its own. One
+_levels run over the block's pairs and one _excursions run over its
+members serve every q of it, and the last few blocks are cached, so an
+ascending loop over q pays one kernel run per block. A single call pays
+for its whole block: a members call at q < 4096 on a cold cache takes
+0.6-0.9 ms against 0.15-0.4 ms for q alone (10th to 90th percentile over
+150 random q, best of 7 calls, 2 cores). A block of one q is not kept.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +59,14 @@ _BLOCK = 1 << 16
 
 # rows read per slice of a tally: whole-tally index lists cost MBs at large Q
 _ROW_BLOCK = 1 << 12
+
+#: largest q that height_bound_check takes
+HEIGHT_Q_MAX = 10**6
+
+# q_k <= q < 2^_KEY_BITS for every q height_bound_check takes, so a key
+# (q_k r_k) 2^_KEY_BITS + q_k orders convergents by q_k r_k, then by q_k
+_KEY_BITS = 20
+_NO_KEY = np.iinfo(np.int64).max
 
 
 class _Tally(Mapping[int, int]):
@@ -235,30 +255,118 @@ def _levels(q: np.ndarray, p: np.ndarray, top: int) -> tuple[np.ndarray, np.ndar
     return np.minimum(np.maximum(inner, last - 1), top + 1), np.minimum(np.maximum(inner, last), top + 1)
 
 
-def _coprime_pairs(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(q, p) columns of every coprime pair with 1 <= p < q <= Q, in chunks of about _PAIR_CHUNK pairs."""
+def _coprime_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(q, p) columns of every coprime pair with 1 <= p < q and lo <= q < hi, in chunks of about _PAIR_CHUNK pairs."""
     qs: list[np.ndarray] = []
     ps: list[np.ndarray] = []
     size = 0
-    for q in range(2, Q + 1):
+    for q in range(lo, hi):
         p = coprime_array(q)
         qs.append(np.full(p.size, q, dtype=np.int64))
         ps.append(p)
         size += p.size
-        if size >= _PAIR_CHUNK or q == Q:
-            yield np.concatenate(qs), np.concatenate(ps)
+        if size >= _PAIR_CHUNK or q == hi - 1:
+            yield (np.concatenate(qs), np.concatenate(ps)) if len(ps) > 1 else (qs[0], ps[0])
             qs, ps, size = [], [], 0
 
 
+def _block_span(q: int) -> tuple[int, int]:
+    """The aligned block [lo, hi) of consecutive denominators that q is served from.
+
+    q in [2^j, 2^{j+1}) lies in the block of width 2^min(j, max(0, c - j)),
+    c = floor(log2 _PAIR_CHUNK), which holds about _PAIR_CHUNK coprime
+    pairs; from q = 2^c on, q is a block of its own.
+    """
+    j = q.bit_length() - 1
+    width = 1 << min(j, max(0, _PAIR_CHUNK.bit_length() - 1 - j))
+    lo = q - q % width
+    return lo, lo + width
+
+
+def _peaks(q: np.ndarray, p: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The highest orbit peak over the members p of each denominator, from one _excursions run.
+
+    key[j] is the least (q_k r_k) 2^_KEY_BITS + q_k over the convergents
+    of p[j]/q[j]: its orbit's highest peak, the earliest on a tie. For
+    the i-th denominator, divmod(peak[i], p.size) is the least q_k r_k
+    over its members and the smallest j that attains it, which is the
+    tie rule of height_bound_check; peak[i] means nothing when the
+    denominator has no members.
+    """
+    n = p.size
+    key = np.full(n, _NO_KEY)
+    for idx, qk, rk, _ in _excursions(q, p):
+        key[idx] = np.minimum(key[idx], ((qk * rk) << _KEY_BITS) + qk)
+    # (q_k r_k) n + j orders as (q_k r_k, j); the sentinel closes the last segment
+    order = np.append((key >> _KEY_BITS) * n + np.arange(n), _NO_KEY)
+    return np.minimum.reduceat(order, starts[:-1]), key
+
+
+class _Block(NamedTuple):
+    """The level-K members of the denominators lo <= q < lo + starts.size - 1.
+
+    The relaxed members of q = lo + i are ps[starts[i] : starts[i + 1]],
+    ascending, and strict flags the ones whose strict level is at most K
+    too. peak and key (see _peaks) are None in a block built for members
+    alone.
+    """
+
+    lo: int
+    starts: np.ndarray
+    ps: np.ndarray
+    strict: np.ndarray
+    peak: Optional[np.ndarray]
+    key: Optional[np.ndarray]
+
+
+def _build_block(lo: int, hi: int, K: int, peaks: bool = True) -> _Block:
+    """One _levels run over the coprime pairs of lo <= q < hi, then one _excursions run over their members."""
+    chunks = list(_coprime_pairs(lo, hi))
+    q, p = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
+    relaxed, strict = _levels(q, p, K)
+    keep = np.flatnonzero(relaxed <= K)
+    q, p = q[keep], p[keep]
+    starts = np.searchsorted(q, np.arange(lo, hi + 1))
+    return _Block(lo, starts, p, strict[keep] <= K, *(_peaks(q, p, starts) if peaks else (None, None)))
+
+
+@functools.lru_cache(maxsize=4)  # ascending loops over q need one entry
+def _cached_block(lo: int, hi: int, K: int) -> _Block:
+    """_build_block with read-only arrays, kept by (lo, hi, K) so a patched _PAIR_CHUNK gets fresh blocks."""
+    block = _build_block(lo, hi, K)
+    for a in block[1:]:
+        a.flags.writeable = False
+    return block
+
+
+def _block(q: int, K: int, peaks: bool) -> _Block:
+    """The block that serves q; a block of one q is built for the call and not kept."""
+    lo, hi = _block_span(q)
+    if hi - lo == 1:
+        return _build_block(lo, hi, K, peaks)
+    return _cached_block(lo, hi, K)
+
+
 def members(q: int, K: int, strict: bool = False) -> np.ndarray:
-    """Residues of q whose relaxed (or strict) level is at most K; chains end at a digit past K."""
+    """Residues of q whose relaxed (or strict) level is at most K; chains end at a digit past K.
+
+    The residues are read off the block of consecutive q that q lies in
+    (_block_span): one Euclid-kernel run over the block's coprime pairs,
+    about _PAIR_CHUNK of them, kept in a small cache, so a loop over
+    consecutive q pays one run per block. A single call pays for its
+    whole block: 0.6-0.9 ms against 0.15-0.4 ms for q < 4096 alone, on
+    2 cores. From q = 2^floor(log2 _PAIR_CHUNK) on, q is a block of its
+    own, as costly as before, and nothing is kept. The array returned
+    is the caller's own.
+    """
     if q < 2:
         raise ValueError("q must be >= 2")
     if K < 1:
         raise ValueError("K must be >= 1")
-    ps = coprime_array(q)
-    relaxed, strict_level = _levels(np.full(ps.size, q, dtype=np.int64), ps, K)
-    return ps[(strict_level if strict else relaxed) <= K]
+    block = _block(q, K, peaks=False)
+    i = q - block.lo
+    cut = slice(block.starts[i], block.starts[i + 1])
+    return block.ps[cut][block.strict[cut]] if strict else block.ps[cut].copy()
 
 
 def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
@@ -274,7 +382,7 @@ def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
     bounds = np.array(sorted(set(Ks)), dtype=np.int64)
     width = bounds.size + 1
     tallies = np.zeros((2, (Q + 1) * width), dtype=np.int64)
-    for q, p in _coprime_pairs(Q):
+    for q, p in _coprime_pairs(2, Q + 1):
         for tally, level in zip(tallies, _levels(q, p, int(bounds[-1]))):
             np.add.at(tally, q * width + np.searchsorted(bounds, level), 1)
     relaxed, strict = tallies.reshape(2, Q + 1, width).cumsum(axis=2)
@@ -324,33 +432,34 @@ def height_bound_check(q: int, K: int) -> HeightBoundReport:
 
     The orbit of p/q peaks at height sqrt(q / (2 q_k r_k)) at time
     ln(q q_k / r_k) for each convergent (see lattice._excursions), so
-    the maximum over the members is read from one Euclid-kernel run at
-    the least q_k r_k; ties go to the smallest p, then the earliest time.
-    A maximum above sqrt(2)*(K+1)^{3/2} raises with the witness
-    (p, t, ht); otherwise the report carries it.
+    the maximum over the members is the least q_k r_k; ties go to the
+    smallest p, then the earliest time. It is read off the block of
+    consecutive q that members serves q from, whose one _excursions run
+    covers every member of the block; a single call of q < 4096 pays
+    for its whole block, 0.6-1.0 ms against 0.3-0.7 ms for q alone on
+    2 cores. A maximum above sqrt(2)*(K+1)^{3/2} raises
+    with the witness (p, t, ht); otherwise the report carries it.
     """
-    if not 2 <= q <= 10**6:
+    if not 2 <= q <= HEIGHT_Q_MAX:
         raise ValueError("q must lie in [2, 10^6]")
+    if K < 1:
+        raise ValueError("K must be >= 1")
     bound = math.sqrt(2.0) * (K + 1) ** 1.5
-    ps = members(q, K)
-    if not ps.size:
+    block = _block(q, K, peaks=True)
+    i = q - block.lo
+    checked = int(block.starts[i + 1] - block.starts[i])
+    if not checked:
         return HeightBoundReport(q, K, bound, 0, 0.0, 0.0, 0)
-    # (q_k r_k, index of p, q_k, r_k) orders as the tie rule: at one product
-    # and one p, the smaller q_k is the earlier time; argmin takes the first
-    # live column, which has the smallest p
-    least = (q * q, 0, 0, 0)
-    for idx, qk, rk, _ in _excursions(q, ps):
-        prod = qk * rk
-        i = int(np.argmin(prod))
-        least = min(least, (int(prod[i]), int(idx[i]), int(qk[i]), int(rk[i])))
-    prod, i, qk, rk = least
+    prod, at = divmod(int(block.peak[i]), block.ps.size)
+    qk = int(block.key[at]) & ((1 << _KEY_BITS) - 1)
+    rk = prod // qk
     best = math.sqrt(q / (2.0 * prod))
     best_t = math.log(q * qk / rk)
-    best_p = int(ps[i])
+    best_p = int(block.ps[at])
     if best > bound:
         raise HeightBoundError(
             f"p={best_p}, t={best_t:.6f}, ht={best:.6f} exceeds "
             f"bound {bound:.6f} at K={K}, q={q}"
         )
-    return HeightBoundReport(q, K, bound, int(ps.size), best, best_t, best_p)
+    return HeightBoundReport(q, K, bound, checked, best, best_t, best_p)
 

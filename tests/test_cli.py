@@ -236,6 +236,23 @@ def test_sweeps_check_every_q_before_any_output(sub, capsys, tmp_path):
     assert main([sub, "--q", "3", "--threads", "1"]) == 0
 
 
+def test_zaremba_height_checks_the_ceiling_before_any_output(capsys, tmp_path):
+    # the 101 row used to be written before the second q raised
+    assert main(["zaremba-height", "--q", "101,2000000", "--K", "2", "--threads", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "config",
+        "message": f"every q must be <= {zaremba.HEIGHT_Q_MAX} for zaremba-height",
+    }
+    target = tmp_path / "out.csv"
+    assert main(["zaremba-height", "--q", "2000000", "--K", "2", "--output", str(target)]) == 1
+    assert not target.exists()
+    with pytest.raises(ConfigError):
+        capture(["zaremba-height", "--q", f"{zaremba.HEIGHT_Q_MAX + 1}", "--K", "2", "--threads", "1"])
+    assert capture(["zaremba-height", "--q", f"{zaremba.HEIGHT_Q_MAX}", "--K", "2", "--threads", "1"]).q == (zaremba.HEIGHT_Q_MAX,)
+
+
 def test_zaremba_height_takes_no_time_step(capsys, tmp_path):
     assert main(["zaremba-height", "--q", "101", "--K", "2", "--dt", "0.1"]) == 1
     err = capsys.readouterr().err.splitlines()

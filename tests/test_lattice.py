@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cforbit.cfe import ReducedFraction
+from cforbit.arith import coprime_array
+from cforbit.cfe import ReducedFraction, cfe_digits
 from cforbit.lattice import (
     LatticeBasis,
     LatticeError,
     SymmetryError,
+    _excursions,
     _fd_points,
     dual_point,
     fd_point_floats,
@@ -227,3 +229,28 @@ def test_symmetry_error_carries_a_residual_slot():
     assert err.residual[0][0] == 1
     assert SymmetryError("no witness").residual is None
     assert issubclass(SymmetryError, LatticeError)
+
+
+def _chains(q, ps):
+    """Per column of ps, the (q_k, r_k) of every round of _excursions."""
+    chains = [[] for _ in range(ps.size)]
+    for idx, qk, rk, _ in _excursions(q, ps):
+        for i, a, b in zip(idx.tolist(), qk.tolist(), rk.tolist()):
+            chains[i].append((a, b))
+    return chains
+
+
+def test_excursions_take_one_q_or_a_column():
+    qs = (2, 7, 30, 101, 360)
+    ps = [coprime_array(q) for q in qs]
+    column = np.repeat(np.array(qs, dtype=np.int64), [p.size for p in ps])
+    assert _chains(column, np.concatenate(ps)) == [c for q, p in zip(qs, ps) for c in _chains(q, p)]
+    # q_k are the continuants of the digits of p/q and r_k its Euclid divisors p, q mod p, ...; q_k r_k <= q
+    for q, p in zip(qs, ps):
+        for x, chain in zip(p.tolist(), _chains(q, p)):
+            digits = cfe_digits(ReducedFraction(x, q)).digits
+            cont, prev = [1], 0
+            for d in digits[:-1]:
+                cont, prev = cont + [d * cont[-1] + prev], cont[-1]
+            assert [a for a, _ in chain] == cont
+            assert chain[0][1] == x and all(a * b <= q for a, b in chain)

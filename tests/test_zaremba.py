@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 import tracemalloc
 from collections.abc import Mapping
@@ -10,9 +12,13 @@ from hypothesis import given, settings, strategies as st
 from cforbit import zaremba
 from cforbit.arith import coprime_array, euler_phi
 from cforbit.zaremba import (
+    _PAIR_CHUNK,
     HeightBoundError,
     HeightBoundReport,
     ZarembaCensus,
+    _block_span,
+    _coprime_pairs,
+    _levels,
     brute_force_censuses,
     enumerate_bounded,
     exponent_fit,
@@ -221,3 +227,137 @@ def test_census_members_are_consistent():
     for q in range(2, 121):
         assert census.count(q) == members(q, 2).size
         assert census.strict_count(q) == members(q, 2, strict=True).size
+
+
+# sha256 of repr([height_bound_check(q, K) for every q of enumerate_bounded(3000, K)]),
+# and of repr([members(q, K, strict).tolist() for q in range(2, 3000)]), captured
+# from the per-q kernel runs that predate the blocks of consecutive q
+FROZEN_HEIGHTS = {
+    1: (16, "f1fbd35eab41839bb40282786c5223d7a6b8b2382f6ad1f47e1cd96212184863"),
+    2: (1555, "041fa52fed7503cd3b1e062e81f6988a1bf98dcfe3f469701f88c86c14725590"),
+    3: (2974, "f026c05584b444acb697bc74132206a4d890c5ba7a4a8c5880c80c747aae4a35"),
+}
+FROZEN_MEMBERS = {
+    1: ("a8d97c9197fc1491a2552354e8ce3ead36829cbedf02a55853ab18a3aa175ee1",
+        "fe46b988b29b4247ca0c6b227d2a172436a173f15b1a8b88a2a002e86587b6a6"),
+    2: ("ba7d773c1f3539ba8f3832b6534583659e28f9513be643cef9173d6703b320c5",
+        "9840e16150621ed53626f22d5d75c83b24988f9ccaa2f0a6ce7d8bf9d1a52d5d"),
+    3: ("60a4cc9249b2808f79207a1d5bd161c1daefab875741b4c1a496bd334bbef396",
+        "6cfdc76601599393eb351bb12479d31fc28e69c65fb0736e50dc7b4a2c448c7b"),
+    7: ("220c77f70836f0d9a6911d8eca2ba3a5253c02f6e8f09ba9a32ad72ac3178949",
+        "e46850c6e10c093c05cad3e0173d89ddf57c265b437ec1c5c8ea35835c4f2c5e"),
+}
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("K", sorted(FROZEN_MEMBERS))
+def test_members_and_heights_are_frozen(K):
+    relaxed, strict = zip(*((members(q, K).tolist(), members(q, K, strict=True).tolist()) for q in range(2, 3000)))
+    assert (_sha(list(relaxed)), _sha(list(strict))) == FROZEN_MEMBERS[K]
+    if K in FROZEN_HEIGHTS:
+        reports = [height_bound_check(q, K) for q, _, _ in enumerate_bounded(3000, K).rows()]
+        assert (len(reports), _sha(reports)) == FROZEN_HEIGHTS[K]
+
+
+def _reference(q, K):
+    """Relaxed and strict members of q alone, and its height report from a scalar walk of every chain."""
+    ps = coprime_array(q)
+    relaxed, strict = _levels(np.full(ps.size, q, dtype=np.int64), ps, K)
+    ps, strict_ps = ps[relaxed <= K], ps[strict <= K]
+    bound = math.sqrt(2.0) * (K + 1) ** 1.5
+    if not ps.size:
+        return ps, strict_ps, HeightBoundReport(q, K, bound, 0, 0.0, 0.0, 0)
+    least = []
+    for i, p in enumerate(ps.tolist()):
+        a, b, qk1, qk = q, p, 0, 1
+        while b:
+            least.append((qk * b, i, qk, b))
+            d, r = divmod(a, b)
+            a, b, qk1, qk = b, r, qk, d * qk + qk1
+    prod, i, qk, rk = min(least)
+    report = HeightBoundReport(
+        q, K, bound, int(ps.size), math.sqrt(q / (2.0 * prod)), math.log(q * qk / rk), int(ps[i])
+    )
+    return ps, strict_ps, report
+
+
+_CALLS = st.lists(
+    st.tuples(st.sampled_from(("relaxed", "strict", "height")), st.integers(2, 300), st.integers(1, 6)),
+    min_size=1,
+    max_size=25,
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=30, deadline=None)
+@given(calls=_CALLS, order=st.sampled_from(("drawn", "descending", "twice")))
+def test_blocks_serve_any_call_order(chunk, calls, order):
+    if order == "descending":
+        calls = sorted(calls, key=lambda c: -c[1])
+    elif order == "twice":
+        calls = calls + calls[::-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zaremba, "_PAIR_CHUNK", chunk)
+        for kind, q, K in calls:
+            relaxed, strict, report = _reference(q, K)
+            if kind == "height":
+                assert height_bound_check(q, K) == report
+            else:
+                got = members(q, K, strict=kind == "strict")
+                assert got.dtype == np.int64
+                assert np.array_equal(got, strict if kind == "strict" else relaxed)
+
+
+def test_block_span_rule():
+    c = _PAIR_CHUNK.bit_length() - 1
+    lo, seen = 2, 0
+    while lo < 3 * _PAIR_CHUNK:
+        span = _block_span(lo)
+        assert span[0] == lo  # blocks tile the q axis
+        j = lo.bit_length() - 1
+        width = span[1] - lo
+        assert width == 2 ** min(j, max(0, c - j)) and lo % width == 0
+        assert all(_block_span(q) == span for q in range(*span))
+        if width > 1:
+            seen = max(seen, sum(euler_phi(q) for q in range(*span)))
+        lo = span[1]
+    assert _PAIR_CHUNK / 2 < seen < 2 * _PAIR_CHUNK
+    assert _block_span(2) == (2, 4) and _block_span(_PAIR_CHUNK) == (_PAIR_CHUNK, _PAIR_CHUNK + 1)
+
+
+def test_coprime_pairs_of_a_range():
+    for lo, hi in ((2, 3), (64, 128), (2000, 2003), (5000, 5001)):
+        q, p = (np.concatenate(c) for c in zip(*_coprime_pairs(lo, hi)))
+        assert np.array_equal(p, np.concatenate([coprime_array(x) for x in range(lo, hi)]))
+        assert np.array_equal(q, np.repeat(np.arange(lo, hi), [euler_phi(x) for x in range(lo, hi)]))
+
+
+@pytest.mark.parametrize("q", [100, 3001, _PAIR_CHUNK + 3])
+def test_returned_members_are_the_callers_own(q):
+    for strict in (False, True):
+        want = members(q, 3, strict).copy()
+        got = members(q, 3, strict)
+        got[:] = 1
+        assert np.array_equal(members(q, 3, strict), want)
+    want = height_bound_check(q, 3)
+    members(q, 3)[:] = 1
+    assert height_bound_check(q, 3) == want
+
+
+def test_members_keep_nothing_of_a_large_q():
+    # a q past _PAIR_CHUNK is a block of its own; its phi(q) int64 residues (8 MB) are not kept
+    q = 999983
+    members(q - 2, 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert members(q, 2).size and height_bound_check(q, 2).checked
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
