@@ -34,7 +34,7 @@ from .stats import (
     mass_escape_count,
     orbit_fd_histogram,
 )
-from .zaremba import _ROW_BLOCK, HEIGHT_Q_MAX, enumerate_bounded, height_bound_check
+from .zaremba import HEIGHT_Q_MAX, enumerate_bounded, height_bound_check
 
 
 class ConfigError(ValueError):
@@ -227,8 +227,9 @@ def read_config_file(path: str) -> dict[str, str]:
 # The runner contract. A runner yields column blocks: ({column: cells}, histogram),
 # every column of the subcommand's schema present as a sequence of cells, all
 # of one length. A block may hold any number of rows, none included; the
-# JSON-only histogram rides only on a one-row block. `run` checks each block
-# once and yields it as an OutputBlock: the columns in schema order.
+# JSON-only histogram rides only on a one-row block. `run` checks each block's
+# shape and yields it as an OutputBlock, the columns in schema order; `emit`
+# refuses a float cell that is inf or nan as it turns the column into text.
 Block = tuple[Mapping[str, Sequence[object]], Optional[Mapping[str, object]]]
 OutputBlock = tuple[tuple[Sequence[object], ...], Optional[Mapping[str, object]]]
 
@@ -256,11 +257,18 @@ def _fmt(v: object) -> str:
     raise TypeError(f"cannot format {type(v).__name__}")
 
 
-def _fmt_column(cells: Sequence[object]) -> Iterator[str]:
-    """_fmt over a column; a column of one exact type maps that type's formatter directly."""
+def _column_text(column: str, cells: Sequence[object], by_type: dict, fallback: Callable) -> Iterator[str]:
+    """The text of each cell, from one scan of the column's types.
+
+    A column of one exact type maps that type's formatter from by_type, any
+    other maps fallback; a float cell that is inf or nan raises ValueError first.
+    """
     kinds = set(map(type, cells))
-    exact = _FMT_BY_TYPE.get(kinds.pop()) if len(kinds) == 1 else None
-    return map(exact or _fmt, cells)
+    floats = any(issubclass(t, float) for t in kinds)
+    if floats and not all(math.isfinite(v) for v in cells if isinstance(v, float)):
+        raise ValueError(f"metric {column} is not finite")
+    exact = by_type.get(kinds.pop()) if len(kinds) == 1 else None
+    return map(exact or fallback, cells)
 
 
 def _json_value(v: object) -> str:
@@ -281,25 +289,21 @@ def emit(blocks: Iterable[OutputBlock], config: ExperimentConfig, stream: TextIO
     """Write the block stream of `run`; returns the number of rows.
 
     CSV: comment preamble (version, schema, config), header, one line per
-    row, fixed column order; each block is formatted column by column and
-    written at once. JSON: a meta object line, then one object per row.
+    row, fixed column order. JSON: a meta object line, then one object per
+    row. A block is written at once: _column_text turns each column into
+    text, and a row's cells are joined (CSV) or fill a %-template (JSON).
     Histogram payloads appear in JSON only.
     """
     sub = _SUBCOMMANDS[config.subcommand]
     echo = config.echo()
-    n = 0
     if config.format == "csv":
         stream.write(f"# cforbit {__version__}\n")
         stream.write(f"# schema {sub.schema}\n")
         cfg_text = " ".join(f"{k}={shlex.quote(_config_value(v))}" for k, v in echo.items())
         stream.write(f"# config {cfg_text}\n")
         stream.write(",".join(sub.columns) + "\n")
-        for columns, _ in blocks:
-            rows = len(columns[0])
-            if rows:
-                cells = zip(*map(_fmt_column, columns))
-                stream.write("\n".join(map(",".join, cells)) + "\n")
-                n += rows
+        by_type, fallback = _FMT_BY_TYPE, _fmt
+        row_text = lambda histogram: ",".join
     else:
         meta = {
             "record": "meta",
@@ -309,13 +313,20 @@ def emit(blocks: Iterable[OutputBlock], config: ExperimentConfig, stream: TextIO
             "config": echo,
         }
         stream.write(_json_value(meta) + "\n")
-        for columns, histogram in blocks:
-            for values in zip(*columns):
-                body = {"record": "row", **dict(zip(sub.columns, values))}
-                if histogram is not None:
-                    body["histogram"] = histogram
-                stream.write(_json_value(body) + "\n")
-                n += 1
+        by_type, fallback = {**_FMT_BY_TYPE, str: json.dumps}, _json_value
+        # one %-template per row object: the cells are its arguments, every other % is escaped
+        keys = "".join(f",{json.dumps(c).replace('%', '%%')}:%s" for c in sub.columns)
+
+        def row_text(histogram):
+            tail = "" if histogram is None else ',"histogram":' + _json_value(histogram).replace("%", "%%")
+            return f'{{"record":"row"{keys}{tail}}}'.__mod__
+    n = 0
+    for columns, histogram in blocks:
+        texts = [_column_text(c, cells, by_type, fallback) for c, cells in zip(sub.columns, columns)]
+        rows = len(columns[0])
+        if rows:
+            stream.write("\n".join(map(row_text(histogram), zip(*texts))) + "\n")
+            n += rows
     return n
 
 
@@ -475,13 +486,9 @@ def _run_haar_selftest(cfg: ExperimentConfig) -> Iterator[Block]:
 
 
 def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Block]:
-    # the rows of ZarembaCensus.rows(), read off the tallies a slice of q at a time
     assert cfg.q_max is not None and cfg.K is not None
-    census = enumerate_bounded(cfg.q_max, cfg.K)
-    relaxed, strict = census.counts.array, census.strict_counts.array
-    for lo in range(0, relaxed.size, _ROW_BLOCK):
-        qs = lo + np.flatnonzero(relaxed[lo : lo + _ROW_BLOCK])
-        yield {"q": qs.tolist(), "count_relaxed": relaxed[qs].tolist(), "count_strict": strict[qs].tolist()}, None
+    for q, relaxed, strict in enumerate_bounded(cfg.q_max, cfg.K).row_blocks():
+        yield {"q": q, "count_relaxed": relaxed, "count_strict": strict}, None
 
 
 def _run_zaremba_height(cfg: ExperimentConfig) -> Iterator[Block]:
@@ -640,15 +647,11 @@ _SUBCOMMANDS: dict[str, _SubSpec] = {
 }
 
 
-def _all_finite(cells: Sequence[object]) -> bool:
-    """False when a float cell is inf or nan; a column without floats passes on its types alone."""
-    if not any(issubclass(t, float) for t in set(map(type, cells))):
-        return True
-    return all(math.isfinite(v) for v in cells if isinstance(v, float))
-
-
 def run(config: ExperimentConfig) -> Iterator[OutputBlock]:
-    """Dispatch to the owning module; yields (columns in schema order, histogram) per checked block."""
+    """Dispatch to the owning module; yields (columns in schema order, histogram) per block.
+
+    Checks each block's shape (no dropped column, equal lengths); `emit` checks its cells.
+    """
     sub = _SUBCOMMANDS[config.subcommand]
     for block, histogram in sub.runner(config):
         try:
@@ -659,9 +662,6 @@ def run(config: ExperimentConfig) -> Iterator[OutputBlock]:
         lengths = {c: len(cells) for c, cells in zip(sub.columns, columns)}
         if len(set(lengths.values())) != 1:
             raise RuntimeError(f"runner columns differ in length: {lengths}")
-        for c, cells in zip(sub.columns, columns):
-            if not _all_finite(cells):
-                raise ValueError(f"metric {c} is not finite")
         yield columns, histogram
 
 
@@ -750,6 +750,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as e:
         _error_line("config", str(e))
+        return 1
+    except MemoryError as e:
+        _error_line("config", f"out of memory: {e}")
         return 1
     except OSError as e:
         _error_line("io", str(e))

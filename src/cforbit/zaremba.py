@@ -88,8 +88,8 @@ class _Tally(Mapping[int, int]):
         raise KeyError(q)
 
     def __iter__(self) -> Iterator[int]:
-        for lo in range(0, self.array.size, _ROW_BLOCK):
-            yield from (lo + np.flatnonzero(self.array[lo : lo + _ROW_BLOCK])).tolist()
+        for qs in _nonzero(self.array):
+            yield from qs.tolist()
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.array))
@@ -146,23 +146,22 @@ class ZarembaCensus:
         stop = self.Q if upto is None else min(upto, self.Q)
         return int(self.counts.array[: max(stop + 1, 0)].sum())
 
-    def merge(self, other: "ZarembaCensus") -> "ZarembaCensus":
-        """Entry-wise sum; branches of a split enumeration merge associatively."""
-        if (self.K, self.Q) != (other.K, other.Q):
-            raise ValueError("can only merge censuses with equal K and Q")
-        return ZarembaCensus(
-            self.K,
-            self.Q,
-            _Tally(self.counts.array + other.counts.array),
-            _Tally(self.strict_counts.array + other.strict_counts.array),
-        )
+    def row_blocks(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
+        """The populated rows as (q, count_relaxed, count_strict) columns, one _ROW_BLOCK slice of q at a time."""
+        relaxed, strict = self.counts.array, self.strict_counts.array
+        for qs in _nonzero(relaxed):
+            yield qs.tolist(), relaxed[qs].tolist(), strict[qs].tolist()
 
     def rows(self) -> Iterator[tuple[int, int, int]]:
         """(q, count_relaxed, count_strict) in ascending q, populated rows only."""
-        relaxed, strict = self.counts.array, self.strict_counts.array
-        for lo in range(0, relaxed.size, _ROW_BLOCK):
-            qs = lo + np.flatnonzero(relaxed[lo : lo + _ROW_BLOCK])
-            yield from zip(qs.tolist(), relaxed[qs].tolist(), strict[qs].tolist())
+        for columns in self.row_blocks():
+            yield from zip(*columns)
+
+
+def _nonzero(tally: np.ndarray) -> Iterator[np.ndarray]:
+    """Indices of the nonzero entries of a tally, ascending, read one _ROW_BLOCK slice at a time."""
+    for lo in range(0, tally.size, _ROW_BLOCK):
+        yield lo + np.flatnonzero(tally[lo : lo + _ROW_BLOCK])
 
 
 def _entries(counts: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +173,7 @@ def _entries(counts: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("bad census entry beyond int64") from None
 
 
-def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> ZarembaCensus:
+def enumerate_bounded(Q: int, K: int) -> ZarembaCensus:
     """Census of every level-K fraction with denominator at most Q.
 
     Walks the digit tree depth-first over (q_{k-1}, q_k) states, popped
@@ -186,17 +185,13 @@ def enumerate_bounded(Q: int, K: int, first_digit: Optional[int] = None) -> Zare
     each admissible word exactly once. The digits of a block are tried in
     increasing order, q_k + q_{k-1} first and one more q_k each time, and
     a state leaves the block once its q passes Q; every value then stays
-    below 3Q, so the columns are int32 when 3Q < 2^31. first_digit
-    restricts the walk to a single first-digit branch; merging the
-    branches recovers the full census.
+    below 3Q, so the columns are int32 when 3Q < 2^31.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if Q < 2:
         raise ValueError("Q must be >= 2")
-    if first_digit is not None and not 1 <= first_digit <= K + 1:
-        raise ValueError(f"first digit must lie in [1, {K + 1}]")
-    first = range(1, min(K + 1, Q) + 1) if first_digit is None else (first_digit,)
+    first = range(1, min(K + 1, Q) + 1)
     dtype = np.int32 if 3 * Q < 2**31 else np.int64
     # strict takes the final digits 2..K and last the final digit K + 1;
     # their sum is the relaxed tally

@@ -13,6 +13,7 @@ from cforbit.cli import (
     ConfigError,
     ExperimentConfig,
     _fmt,
+    _json_value,
     build_config,
     emit,
     main,
@@ -304,10 +305,12 @@ def test_record_and_formatting_rules(capsys, monkeypatch):
         yield {"kappa": [1.0], "target": [math.inf], "abs_err": [0.0]}, None
 
     monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=unbounded))
-    with pytest.raises(ValueError, match="metric target is not finite"):
-        list(run(build_config(["kappa", "--threads", "1"])))
-    assert main(["kappa", "--threads", "1"]) == 1
-    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+    for fmt in ("csv", "json"):
+        cfg = build_config(["kappa", "--threads", "1", "--format", fmt])
+        with pytest.raises(ValueError, match="metric target is not finite"):
+            emit(run(cfg), cfg, io.StringIO())
+        assert main(["kappa", "--threads", "1", "--format", fmt]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
 
 
 def test_non_finite_float_deep_in_a_block(capsys, monkeypatch):
@@ -317,11 +320,64 @@ def test_non_finite_float_deep_in_a_block(capsys, monkeypatch):
         yield {"kappa": [1, 2, 3, 4], "target": [0.5, 0.25, math.nan, 0.125], "abs_err": ["a"] * 4}, None
 
     monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=third_row_nan))
-    with pytest.raises(ValueError, match="metric target is not finite"):
-        list(run(build_config(["kappa", "--threads", "1"])))
-    assert main(["kappa", "--threads", "1"]) == 1
+    for fmt in ("csv", "json"):
+        cfg = build_config(["kappa", "--threads", "1", "--format", fmt])
+        with pytest.raises(ValueError, match="metric target is not finite"):
+            emit(run(cfg), cfg, io.StringIO())
+        assert main(["kappa", "--threads", "1", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert not read_rows(out)[1]  # the block is refused whole
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "config", "message": "metric target is not finite"
+        }
+
+
+def test_json_cells_match_the_per_row_rendering(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["kappa"]
+    # braces and % are literal text of a row's template, not fields of it
+    histogram = {"grid": 2, "observed": np.array([0.25, 0.75]), "note": "{} %s"}
+    blocks = [
+        ({
+            "kappa": ['a"b\\c', "é", "x,y"],
+            "target": [1, 2.5, True],
+            "abs_err": [np.float64(1 / 3), np.float64(-0.0), np.float64(1e-300)],
+        }, None),
+        ({"kappa": ["{h} %s"], "target": [False], "abs_err": [np.float64(2.0)]}, histogram),
+    ]
+
+    def synthetic(cfg):
+        yield from blocks
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=synthetic))
+    assert main(["kappa", "--threads", "1", "--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    want = []
+    for cells, h in blocks:
+        for values in zip(*(cells[c] for c in spec.columns)):
+            row = {"record": "row", **dict(zip(spec.columns, values))}
+            want.append(_json_value(row if h is None else {**row, "histogram": h}))
+    assert lines == want
+    assert json.loads(lines[0])["kappa"] == 'a"b\\c' and json.loads(lines[3])["histogram"]["grid"] == 2
+    assert main(["kappa", "--threads", "1"]) == 0
+    csv_lines = capsys.readouterr().out.splitlines()[4:]
+    assert csv_lines == [
+        ",".join(map(_fmt, values))
+        for cells, _ in blocks
+        for values in zip(*(cells[c] for c in spec.columns))
+    ]
+
+
+def test_out_of_memory_is_a_config_error_line(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["zaremba-census"]
+
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+        yield
+
+    monkeypatch.setitem(_SUBCOMMANDS, "zaremba-census", dataclasses.replace(spec, runner=exhausted))
+    assert main(["zaremba-census", "--q-max", "100000000000", "--K", "2", "--threads", "1"]) == 1
     assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
-        "error": "config", "message": "metric target is not finite"
+        "error": "config", "message": "out of memory: Unable to allocate 745. GiB for an array"
     }
 
 
@@ -342,8 +398,10 @@ def test_summary_counts_rows_not_blocks(capsys, monkeypatch):
 
 def test_census_export_spanning_row_blocks_matches_the_rows():
     Q = 3 * zaremba._ROW_BLOCK + 100
-    rows = list(zaremba.enumerate_bounded(Q, 2).rows())
+    census = zaremba.enumerate_bounded(Q, 2)
+    rows = list(census.rows())
     assert rows[-1][0] > 3 * zaremba._ROW_BLOCK
+    assert [sum(column, []) for column in zip(*census.row_blocks())] == [list(c) for c in zip(*rows)]
     argv = ["zaremba-census", "--q-max", str(Q), "--K", "2", "--threads", "1"]
     csv_lines = emit_text(argv).splitlines()[4:]
     assert csv_lines == [f"{q},{r},{s}" for q, r, s in rows]

@@ -73,22 +73,6 @@ def test_tree_walk_matches_digit_filter():
         assert dict(tree.strict_counts) == dict(brutes[K].strict_counts)
 
 
-def test_first_digit_branches_merge_to_the_full_census():
-    full = enumerate_bounded(200, 3)
-    parts = [enumerate_bounded(200, 3, first_digit=a) for a in range(1, 5)]
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    assert dict(merged.counts) == dict(full.counts)
-    assert dict(merged.strict_counts) == dict(full.strict_counts)
-    with pytest.raises(ValueError):
-        full.merge(enumerate_bounded(100, 3))
-    with pytest.raises(ValueError):
-        enumerate_bounded(200, 3, first_digit=5)
-    with pytest.raises(ValueError):
-        enumerate_bounded(200, 3, first_digit=0)
-
-
 @lru_cache(maxsize=None)
 def _oracle(Q):
     return brute_force_censuses(Q, (1, 2, 3, 4, 5))
@@ -101,14 +85,9 @@ def test_blocked_walk_matches_the_digit_filter(Q, K):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zaremba, "_BLOCK", 7)
         tree = enumerate_bounded(Q, K)
-        parts = [enumerate_bounded(Q, K, first_digit=a) for a in range(1, K + 2)]
     want = _oracle(Q)[K]
     assert tree == want
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    assert merged == want
-    assert list(merged.rows()) == list(want.rows())
+    assert list(tree.rows()) == list(want.rows())
 
 
 def test_census_holds_tallies_behind_read_only_views():
