@@ -143,10 +143,13 @@ def count_coprime_upto(m: int | Modulus, alpha: Rational) -> int:
     The count differs from alpha*phi(q) by at most 2^omega(q).
     """
     m = _as_modulus(m)
-    alpha = Fraction(alpha)
-    if alpha < 0 or alpha > 1:
+    if isinstance(alpha, float):
+        alpha = Fraction(alpha)
+    # int and Fraction carry their ratio: integer arithmetic, no Fraction built per call
+    n, d = alpha.numerator, alpha.denominator
+    if n < 0 or n > d:
         raise ValueError("alpha must lie in [0, 1]")
-    kmax = math.floor(alpha * m.q)
+    kmax = n * m.q // d
     if kmax <= 0:
         return 0
     # signed squarefree divisors of rad(q)

@@ -30,6 +30,14 @@ class ReducedFraction:
         fields["p"] = p
         fields["q"] = q
 
+    def __eq__(self, other: object) -> bool:
+        # Written out: the generated == builds two field tuples per call,
+        # about twice the cost, and the exact identity checks compare
+        # millions. The dataclass still generates __hash__ and the order.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "ReducedFraction":
         return cls(fr.numerator, fr.denominator)

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import secrets
 import shlex
 import sys
 import time
@@ -716,6 +717,22 @@ def build_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     return ExperimentConfig(subcommand=sub.name, **values)
 
 
+def _open_output(path: str) -> tuple[TextIO, Optional[str]]:
+    """Open a run's output: a new file beside path, or path itself when it is not a regular file.
+
+    Returns the handle and the temporary path that main renames onto path
+    once the run has succeeded and removes on any error, so a failed run
+    creates no file and leaves an existing one as it was. A device or pipe
+    (/dev/null) is written in place (the temporary path is None), as a
+    rename would replace it.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        return open(path, "w", encoding="utf-8", newline=""), None
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    return open(tmp, "x", encoding="utf-8", newline=""), tmp
+
+
 def _error_line(kind: str, message: str) -> None:
     print(_json_value({"error": kind, "message": message}), file=sys.stderr)
 
@@ -739,12 +756,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows = emit(run(config), config, sys.stdout)
         else:
             try:
-                fh = open(config.output, "w", encoding="utf-8", newline="")
+                fh, tmp = _open_output(config.output)
             except OSError as e:
-                _error_line("io", f"{config.output}: {e}")
+                _error_line("io", f"{config.output}: {e.strerror or e}")
                 return 3
-            with fh:
-                rows = emit(run(config), config, fh)
+            try:
+                with fh:
+                    rows = emit(run(config), config, fh)
+                if tmp is not None:
+                    os.replace(tmp, config.output)
+            except BaseException:
+                if tmp is not None:
+                    os.unlink(tmp)
+                raise
     except (AssertionError, SymmetryError, RuntimeError) as e:
         _error_line("invariant", str(e))
         return 2

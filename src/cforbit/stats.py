@@ -7,13 +7,19 @@ the exact no-escape-of-mass counting bound.
 
 Full sweeps never hold all phi(q) residues at once. They build the
 coprime residues per chunk of 2^18 with the block sieve of arith, run
-the Euclid kernel on int32 columns below q = 2^31 (int64 above), and
+Euclid rounds on int32 columns below q = 2^31 (int64 above), and
 merge the chunks in ascending order. So memory is O(2^18) whatever q
 is, and results are deterministic down to the last bit for a given q
-and binning. They keep histograms only: the length statistics read a
-histogram of len(p/q), not one length per residue. Gauss-map points are
-binned exactly: the bin of B/A with nbins bins is (B * nbins) // A,
-never a float comparison.
+and binning. Their rounds park an ended column rather than drop it: it
+keeps b = 0, divides to zeros and adds exact zeros, and the columns are
+compacted only once half of them have ended. The live columns keep
+their order, so every float sum adds the same terms in the same order
+as a sweep that drops ended columns every round, and the copying falls
+from one compaction per round to O(2^18) per chunk. They keep
+histograms only: the length statistics read a histogram of len(p/q),
+not one length per residue. Gauss-map points are binned exactly: the
+bin of B/A with nbins bins is (B * nbins) // A, never a float
+comparison.
 
 Orbit heights and the no-escape-of-mass count are exact: each excursion
 toward the cusp, its peak, its time above a height M and the norm of its
@@ -35,7 +41,7 @@ from typing import Callable, Iterator, Union
 import mpmath
 import numpy as np
 
-from .arith import Modulus, _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
+from .arith import Modulus, _coprime_mask, euler_phi, factorize, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
 from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
@@ -146,14 +152,55 @@ def _residue_chunks(q: int) -> Iterator[np.ndarray]:
         lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
 
 
+def _parked_rounds(
+    q: int, chunk: np.ndarray, carry: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The Euclid rounds of the columns (q, p), p in chunk, with ended columns parked, not dropped.
+
+    Each round yields (a, b, d, ended, carry), with d, r = divmod(a, b)
+    and ended marking the columns whose r hits 0 in this round; carry is
+    one per-column array that the caller may update in place. An ended
+    column is parked: from the next round on its b is 0, so numpy's
+    integer division gives it d = r = 0 (the divide-by-zero flag is
+    silenced for that call only). The columns and carry are compacted to
+    the live ones only once half of them are parked, so the copying
+    costs O(width) per chunk and divmod on parked columns stays below
+    twice the live work. Unlike arith._euclid_rounds, the yielded
+    columns may hold parked ones; live columns keep their order.
+    """
+    a = np.full(chunk.size, q, dtype=chunk.dtype)
+    b = chunk
+    live = chunk.size
+    while live:
+        with np.errstate(divide="ignore"):
+            d, r = np.divmod(a, b)
+        ended = (r == 0) & (b > 0)
+        yield a, b, d, ended, carry
+        live -= int(np.count_nonzero(ended))
+        a, b = b, r
+        if 2 * live <= b.size:
+            keep = b > 0
+            a, b, carry = a[keep], b[keep], carry[keep]
+
+
 @lru_cache(maxsize=16)
 def _sweep(q: int, bins: int) -> _SweepData:
-    """Two Euclid-kernel runs per chunk of coprime p: lengths first, then the 1/len-weighted statistics.
+    """Two Euclid runs per chunk of coprime p: lengths first, then the 1/len-weighted statistics.
 
     The residues are sieved per chunk of 2^18 (_residue_chunks) and both
-    runs use int32 columns below q = 2^31, widening only the bin index
-    b * bins to int64, so memory is O(2^18) whatever q is. A (q, bins)
-    whose bin index could pass the int64 ceiling is refused up front.
+    runs use int32 columns below q = 2^31, so memory is O(2^18) whatever
+    q is. The bin index b * bins is int32 while (q - 1) * bins < 2^31
+    and int64 above; a (q, bins) whose bin index could pass the int64
+    ceiling is refused up front.
+
+    Both runs read _parked_rounds. Pass 2 zeroes a column's weight once
+    it ends, so a parked column adds +0.0 to bin 0 of each weighted
+    bincount (a sequential sum per bin, so every bin keeps its bits), its
+    digit 0 lands in a bin no live column reaches, and the digit-1 mass
+    sums the same live weights in the same order as with the parked
+    columns dropped. So every result equals, bit for bit, the sweep that
+    drops ended columns every round.
+
     An entry holds histograms only (about 3 KB at the default binning),
     so the cache can keep every (q, bins) a run revisits.
     """
@@ -161,22 +208,27 @@ def _sweep(q: int, bins: int) -> _SweepData:
         raise ValueError(f"q must be >= {SWEEP_Q_MIN}")
     if (q - 1) * bins >= 2**63:
         raise ValueError(f"q={q}, bins={bins}: the bin index b * bins can reach the int64 ceiling 2^63")
+    bin_dtype = np.int32 if (q - 1) * bins < 2**31 else np.int64
     # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
     len_counts = np.zeros(q.bit_length() * 3 // 2 + 2, dtype=np.int64)
     hist = np.zeros(bins, dtype=np.float64)
     digit_counts = np.zeros(DIGIT_CAP + 2, dtype=np.int64)
     digit1_weighted = 0.0
     for chunk in _residue_chunks(q):
-        qs = np.full(chunk.size, q, dtype=chunk.dtype)
         lens = np.zeros_like(chunk)
-        rounds = _euclid_rounds(qs, chunk, np.arange(chunk.size, dtype=chunk.dtype))
-        for k, (_, _, _, r, (idx,)) in enumerate(rounds, 1):
-            lens[idx[r == 0]] = k
+        rounds = _parked_rounds(q, chunk, np.arange(chunk.size, dtype=chunk.dtype))
+        for k, (_, _, _, ended, idx) in enumerate(rounds, 1):
+            lens[idx[ended]] = k
         len_counts += np.bincount(lens, minlength=len_counts.size)
-        for a, b, d, _, (w,) in _euclid_rounds(qs, chunk, 1.0 / lens):
-            hist += np.bincount(np.multiply(b, bins, dtype=np.int64) // a, weights=w, minlength=bins)
+        for a, b, d, ended, w in _parked_rounds(q, chunk, 1.0 / lens):
+            with np.errstate(divide="ignore"):  # a column parked for two rounds has a = 0 too
+                cell = np.multiply(b, bins, dtype=bin_dtype) // a
+            hist += np.bincount(cell, weights=w, minlength=bins)
             digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
-            digit1_weighted += float(w[d == 1].sum())
+            # the same elements as w[d == 1], so the same pairwise sum, at about a quarter of the cost
+            digit1_weighted += float(np.compress(d == 1, w).sum())
+            w[ended] = 0.0
+    digit_counts[0] = 0  # the parked columns' d = 0
     return _SweepData(int(len_counts.sum()), len_counts, hist, digit_counts, digit1_weighted)
 
 
@@ -352,11 +404,12 @@ def mass_escape_count(
 
     count = residues = 0
     for chunk in _residue_chunks(qi):
-        # int64 like every other column of _excursions, so no product q_k^2 can wrap
-        ps = chunk.astype(np.int64)
+        ps = chunk.astype(np.int64)  # int64 like every other column of _excursions
         hit = np.zeros(ps.size, dtype=bool)
         for idx, qk, rk, rem in _excursions(qi, ps):
-            head = qk * qk * emt
+            # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
+            # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
+            head = np.square(qk, dtype=np.float64) * emt
             gap = head + (rk / qi) ** 2 * ept - inv_m2
             hit[idx[gap < -tol]] = True
             near = np.flatnonzero(np.abs(gap) <= tol)

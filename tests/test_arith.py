@@ -71,10 +71,21 @@ def test_count_coprime_examples():
 
 
 def test_count_coprime_rejects_alpha_outside_unit_interval():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must lie in"):
         count_coprime_upto(10, Fraction(3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must lie in"):
         count_coprime_upto(10, -0.25)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        count_coprime_upto(10, 2)
+
+
+def test_count_coprime_takes_int_float_and_fraction_alike():
+    # q = 30: the residues up to 15 coprime to 30 are 1, 7, 11, 13
+    for alpha in (0.5, Fraction(1, 2), np.float64(0.5)):
+        assert count_coprime_upto(30, alpha) == 4
+    assert count_coprime_upto(30, 1) == count_coprime_upto(30, 1.0) == euler_phi(30)
+    assert count_coprime_upto(30, Fraction(14, 15)) == 7  # 29 excluded
+    assert count_coprime_upto(30, np.int64(0)) == 0
 
 
 @given(st.integers(min_value=2, max_value=600), st.integers(min_value=0, max_value=16))

@@ -38,6 +38,20 @@ def test_reduced_fraction_helpers():
     assert ReducedFraction.from_fraction(Fraction(6, 14)) == x
 
 
+def test_reduced_fraction_equality_hash_and_order():
+    x, y, z = ReducedFraction(3, 7), ReducedFraction(3, 7), ReducedFraction(2, 5)
+    assert x == y and not x != y
+    assert x != z and not x == z
+    assert hash(x) == hash(y)
+    assert {x: "a", z: "b"}[y] == "a"
+    assert z < x and x <= y and x > z and sorted([x, z]) == [z, x]
+    # other types are not equal, and order against them is refused
+    assert x != (3, 7) and x != Fraction(3, 7) and x != "3/7"
+    assert ReducedFraction.__eq__(x, (3, 7)) is NotImplemented
+    with pytest.raises(TypeError):
+        x < (3, 7)
+
+
 def test_digit_word_examples():
     assert cfe_digits(ReducedFraction(113, 355)).digits == (3, 7, 16)
     assert cfe_digits(ReducedFraction(1, 2)).digits == (2,)

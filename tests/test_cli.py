@@ -298,6 +298,32 @@ def test_unequal_columns_exit_2(capsys, monkeypatch):
     assert err["error"] == "invariant" and "differ in length" in err["message"]
 
 
+@pytest.mark.parametrize("error, code", [(RuntimeError, 2), (ValueError, 1), (MemoryError, 1), (OSError, 3)])
+def test_failed_run_leaves_no_output_file(error, code, capsys, monkeypatch, tmp_path):
+    spec = _SUBCOMMANDS["kappa"]
+
+    def failing(cfg):
+        yield {"kappa": [1.0], "target": [1.0], "abs_err": [0.0]}, None
+        raise error("synthetic failure after the first block")
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=failing))
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"old bytes\n")
+    for target in (fresh, kept):
+        assert main(["kappa", "--threads", "1", "--output", str(target)]) == code
+        assert capsys.readouterr().out == ""
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+    # a path that is not a regular file is opened in place, as before
+    assert main(["kappa", "--threads", "1", "--output", str(tmp_path)]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "io"
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", spec)
+    assert main(["kappa", "--threads", "1", "--output", str(kept)]) == 0
+    assert kept.read_text().startswith("# cforbit ")
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
 def test_record_and_formatting_rules(capsys, monkeypatch):
     spec = _SUBCOMMANDS["kappa"]
 

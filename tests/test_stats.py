@@ -9,7 +9,7 @@ import pytest
 
 from cforbit import stats
 from cforbit.arith import euler_phi, omega
-from cforbit.cfe import DigitHistogram, ReducedFraction, cfe_len
+from cforbit.cfe import DigitHistogram, ReducedFraction, cfe_digits, cfe_len, convergents
 from cforbit.lattice import height, orbit_point
 from cforbit.stats import (
     LEN_RATE,
@@ -285,6 +285,25 @@ def test_mass_escape_counts_do_not_depend_on_the_chunk(monkeypatch):
     assert want[-1] == (96, 96)
     monkeypatch.setattr(stats, "_CHUNK", 7)
     assert [(r.count, r.escalations) for r in (mass_escape_count(*d) for d in draws)] == want
+
+
+def test_mass_escape_squares_continuants_without_wrapping(monkeypatch):
+    # 2/q has q_1 = (q - 1)/2 > sqrt(2^63), whose int64 square wraps negative;
+    # three residues stand in for a full pass, which would take hours here
+    q, M, t = 7 * 10**9 + 1, 2.0, 44.0
+    monkeypatch.setattr(stats, "_residue_chunks", lambda q: iter([np.array([1, 2, 3], dtype=np.int64)]))
+    rep = mass_escape_count(q, M, t, checked=False)
+    with mpmath.workdps(50):
+        lim = 1 / mpmath.mpf(M) ** 2
+        want = sum(
+            any(
+                qk * qk * mpmath.exp(-t) + (mpmath.mpf(abs(qk * p - pk * q)) / q) ** 2 * mpmath.exp(t) <= lim
+                for pk, qk in convergents(cfe_digits(ReducedFraction(p, q))).pairs[1:]
+            )
+            for p in (1, 2, 3)
+        )
+    assert (q - 1) // 2 > math.isqrt(2**63)
+    assert rep.count == want
 
 
 def test_mass_escape_memory_does_not_grow_with_q():

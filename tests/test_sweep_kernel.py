@@ -8,6 +8,7 @@ rounded CLI output.
 import hashlib
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cforbit import stats
-from cforbit.arith import coprime_array, euler_phi
+from cforbit.arith import _euclid_rounds, coprime_array, euler_phi
 from cforbit.cfe import ReducedFraction, cfe_digits, cfe_len
-from cforbit.stats import _CHUNK, DEFAULT_BINS, _sweep, digit_one_frequency, len_stats, nu_bar
+from cforbit.stats import _CHUNK, DEFAULT_BINS, DIGIT_CAP, _sweep, digit_one_frequency, len_stats, nu_bar
 from cforbit.zaremba import _PAIR_CHUNK, _levels, brute_force_censuses, enumerate_bounded
 
 # (q, bins): sha256 of nu_bar weights, sha256 of (sorted digit counts, overflow)
@@ -140,6 +141,74 @@ def test_residue_sample_is_the_choice_over_the_coprime_array(q, sample_size, see
         sample = stats._residue_sample(q, sample_size, seed)
     assert sample.dtype == residues.dtype
     assert np.array_equal(sample, residues)
+
+
+def _dropping_sweep(q, bins):
+    """The reference: the sweep that drops ended columns every round, through arith._euclid_rounds.
+
+    Same chunks, same int64 bin index and same float sums per round as
+    the parked sweep must reproduce, with no parked column ever present.
+    """
+    len_counts = np.zeros(q.bit_length() * 3 // 2 + 2, dtype=np.int64)
+    hist = np.zeros(bins, dtype=np.float64)
+    digit_counts = np.zeros(DIGIT_CAP + 2, dtype=np.int64)
+    digit1_weighted = 0.0
+    for chunk in stats._residue_chunks(q):
+        qs = np.full(chunk.size, q, dtype=chunk.dtype)
+        lens = np.zeros_like(chunk)
+        rounds = _euclid_rounds(qs, chunk, np.arange(chunk.size, dtype=chunk.dtype))
+        for k, (_, _, _, r, (idx,)) in enumerate(rounds, 1):
+            lens[idx[r == 0]] = k
+        len_counts += np.bincount(lens, minlength=len_counts.size)
+        for a, b, d, _, (w,) in _euclid_rounds(qs, chunk, 1.0 / lens):
+            hist += np.bincount(np.multiply(b, bins, dtype=np.int64) // a, weights=w, minlength=bins)
+            digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
+            digit1_weighted += float(w[d == 1].sum())
+    return hist, len_counts, digit_counts, digit1_weighted
+
+
+def _bits(hist, len_counts, digit_counts, digit1_weighted):
+    arrays = (hist, len_counts, digit_counts)
+    return (*((a.dtype.str, a.tobytes()) for a in arrays), repr(digit1_weighted))
+
+
+def _sweep_bits(q, bins):
+    sd = _sweep.__wrapped__(q, bins)
+    return _bits(sd.hist, sd.len_counts, sd.digit_counts, sd.digit1_weighted)
+
+
+@settings(max_examples=60)
+@given(
+    q=st.integers(min_value=3, max_value=20000),
+    bins=st.sampled_from((1, 7, 64, 256)),
+    chunk=st.sampled_from((97, _CHUNK)),
+)
+def test_parked_sweep_equals_the_dropping_sweep_bit_for_bit(q, bins, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_CHUNK", chunk)
+        assert _sweep_bits(q, bins) == _bits(*_dropping_sweep(q, bins))
+
+
+# one chunk each; (q - 1) * 2^18 passes 2^31, so the last case takes the int64 bin index
+@pytest.mark.parametrize("q, bins", [(10007, 256), (20011, 7), (10007, 2**18)])
+def test_int64_columns_give_the_int32_bits(q, bins, monkeypatch):
+    assert euler_phi(q) <= _CHUNK
+    want = _sweep_bits(q, bins)
+    assert want == _bits(*_dropping_sweep(q, bins))
+    sieve = stats._residue_chunks
+    monkeypatch.setattr(stats, "_residue_chunks", lambda q: (c.astype(np.int64) for c in sieve(q)))
+    assert next(stats._residue_chunks(q)).dtype == np.int64
+    assert _sweep_bits(q, bins) == want
+
+
+def test_parked_division_warns_nothing_and_restores_the_error_state():
+    # a parked column divides by b = 0 every round it stays parked
+    for state in ({}, {"all": "raise"}):
+        with np.errstate(**state), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = np.geterr()
+            _sweep.__wrapped__(100003, 64)
+            assert np.geterr() == before
 
 
 def test_sweep_refuses_bin_indices_past_the_int64_ceiling():
