@@ -58,7 +58,6 @@ from .gaussmeasure import (
 from .lattice import (
     LatticeBasis,
     LatticeError,
-    OrbitSample,
     SymmetryError,
     dual_point,
     haar_fd_sample,

@@ -398,13 +398,8 @@ def _run_dispersion(cfg: ExperimentConfig) -> Iterator[Block]:
 
 def _run_orbit(cfg: ExperimentConfig) -> Iterator[Block]:
     x = ReducedFraction(cfg.p, _single_q(cfg))
-    samples = orbit_samples(x, cfg.dt, cfg.t_max)
-    yield {
-        "t": [s.t for s in samples],
-        "height": [s.height for s in samples],
-        "fd_x": [s.fd_point[0] for s in samples],
-        "fd_y": [s.fd_point[1] for s in samples],
-    }, None
+    columns = _SUBCOMMANDS["orbit"].columns
+    yield dict(zip(columns, (c.tolist() for c in orbit_samples(x, cfg.dt, cfg.t_max)))), None
 
 
 def _run_cross_section(cfg: ExperimentConfig) -> Iterator[Block]:
@@ -586,6 +581,7 @@ _SUBCOMMANDS: dict[str, _SubSpec] = {
             {"p": _REQUIRED, "q": _REQUIRED, "dt": 0.05, "t_max": 0.0},
             ("t", "height", "fd_x", "fd_y"),
             _run_orbit,
+            version=2,
         ),
         _SubSpec(
             "cross-section",

@@ -68,13 +68,6 @@ class LatticeBasis:
         return cls(np.array(rows), tuple(tuple(Fraction(v) for v in row) for row in exact))
 
 
-@dataclass(frozen=True)
-class OrbitSample:
-    t: float
-    height: float
-    fd_point: tuple[float, float]
-
-
 def orbit_point(x: ReducedFraction, t: float) -> LatticeBasis:
     """Basis of the lattice spanned by (e^{-t/2}, x e^{t/2}) and (0, e^{t/2})."""
     if not math.isfinite(t):
@@ -268,7 +261,9 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     Each column goes through the float operations of a scalar Gauss
     reduction (round half to even) and the walk of _fd_rounds, in the
     same order, so its result does not depend on the batch it runs in.
-    Finished columns are dropped by a keep mask after every round.
+    Finished columns are dropped by a keep mask after every round. Its
+    callers are orbit_samples and stats.orbit_fd_histogram; the crossing
+    detector walks with _fd_rounds.
     """
     a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
     size = a.size
@@ -338,17 +333,6 @@ def _excursions(q: int | np.ndarray, ps: np.ndarray) -> Iterator[tuple[np.ndarra
         qk1 += d * qk
 
 
-def fd_point_floats(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """Fundamental-domain point of the lattice with rows (a,b), (c,d), through the float kernel.
-
-    Agrees with to_fundamental_domain within float error. Bulk callers call
-    the array kernels directly: stats.orbit_fd_histogram calls _fd_points,
-    the crossing detector _fd_rounds.
-    """
-    x, y = _fd_points(a, b, c, d)
-    return float(x[0]), float(y[0])
-
-
 def haar_fd_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n shape points (x, y) with density (3/pi) dx dy / y^2 on the fundamental domain.
 
@@ -383,20 +367,29 @@ def haar_sample(rng: np.random.Generator) -> LatticeBasis:
     return LatticeBasis(np.array([[w1.real, w1.imag], [w2.real, w2.imag]]))
 
 
-def orbit_samples(x: ReducedFraction, dt: float, t_max: Optional[float] = None) -> list[OrbitSample]:
-    """Height and fundamental-domain point along the orbit grid t = 0, dt, ..., t_max.
+def orbit_samples(
+    x: ReducedFraction, dt: float, t_max: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (t, height, fd_x, fd_y) along the orbit grid t = 0, dt, ..., t_max.
 
-    t_max defaults to the lifespan 2 ln q.
+    t_max defaults to the lifespan 2 ln q. The grid goes through _fd_points
+    in one pass; height is sqrt(fd_y). Raises ValueError naming the first t
+    whose point is not finite in float64.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max is None:
         t_max = 2.0 * math.log(x.q)
-    out = []
     n = int(math.ceil(t_max / dt))
-    for i in range(n + 1):
-        t = min(i * dt, t_max)
-        B = orbit_point(x, t)
-        fx, fy, _ = to_fundamental_domain(B)
-        out.append(OrbitSample(t, math.sqrt(fy), (fx, fy)))
-    return out
+    t = np.minimum(np.arange(n + 1) * dt, t_max)
+    fd_x, fd_y = np.full(t.size, np.nan), np.full(t.size, np.nan)
+    with np.errstate(all="ignore"):
+        e = np.exp(t / 2.0)
+        # once e^t overflows, so do the squared rows in _fd_points, which may
+        # then raise; those grid points stay nan and count as not finite below
+        ok = np.isfinite(e * e)
+        fd_x[ok], fd_y[ok] = _fd_points(1.0 / e[ok], (x.p / x.q) * e[ok], 0.0, e[ok])
+    bad = ~(np.isfinite(fd_x) & np.isfinite(fd_y))
+    if bad.any():
+        raise ValueError(f"the orbit of {x} leaves the float range at t={t[bad][0]:.12g}")
+    return t, np.sqrt(fd_y), fd_x, fd_y

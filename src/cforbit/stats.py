@@ -24,11 +24,12 @@ comparison.
 Orbit heights and the no-escape-of-mass count are exact: each excursion
 toward the cusp, its peak, its time above a height M and the norm of its
 vector at a time t are read in closed form off the Euclid chain
-(lattice._excursions). Only the fundamental-domain histogram (like
-lattice.orbit_samples) reads orbits on a time grid: the (residue, time)
-points of a seeded residue sample go through the array kernel of lattice
-in bounded chunks, and the cell weights are exact sums of 1/2 and 1, so
-they do not depend on the chunking.
+(lattice._excursions). Only the fundamental-domain histogram reads
+orbits on a time grid here: the (residue, time) points of a seeded
+residue sample go through lattice._fd_points, the kernel that
+lattice.orbit_samples runs over the grid of one orbit, in bounded chunks,
+and the cell weights are exact sums of 1/2 and 1, so they do not depend
+on the chunking.
 """
 from __future__ import annotations
 
@@ -81,13 +82,6 @@ class EmpiricalMeasure:
     @property
     def total_weight(self):
         return self.weights.sum()
-
-    def merge(self, other: "EmpiricalMeasure") -> "EmpiricalMeasure":
-        if not np.array_equal(self.edges, other.edges):
-            raise ValueError("cannot merge measures with different binnings")
-        if self.weights.dtype != other.weights.dtype:
-            raise ValueError("cannot merge exact and float measures")
-        return EmpiricalMeasure(self.edges, self.weights + other.weights)
 
     def cdf_at_edges(self) -> np.ndarray:
         w = self.weights.astype(np.float64) / float(self.total_weight)

@@ -150,6 +150,19 @@ def test_orbit_rows_cover_the_lifespan():
     assert short[-1]["t"] == 1.0
 
 
+@pytest.mark.parametrize("t_max", ["400", "1500"])
+def test_orbit_past_the_float_range_is_one_config_error(t_max, capsys, tmp_path):
+    target = tmp_path / "out.csv"
+    argv = ["orbit", "--p", "1", "--q", "3", "--dt", "0.1", "--t-max", t_max, "--threads", "1"]
+    assert main([*argv, "--output", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "config", "message": "the orbit of 1/3 leaves the float range at t=374.8"
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mass_escape_rows():
     columns, rows = read_rows(
         emit_text(["mass-escape", "--q", "97", "--M", "2,3", "--t", "0", "--threads", "1"])

@@ -43,8 +43,8 @@ FROZEN_DIGESTS = {
     ("zaremba-census --q-max 20000 --K 3", "json", 2): "986afcf2110a7d1f19f41354958b60ed38808f365d2b243bc7197465a890b7fe",
     ("sweep-digits --q 10007", "csv", 1): "d09bd607d7178f46515e0982ec916523c2ec1c1b847f2153228d878d5d00a247",
     ("sweep-digits --q 10007", "json", 1): "cf3178dfe531cc5f390f69b4504691e4b19a3a759835c052eb12cf7bd5d58fb6",
-    ("orbit --p 3571 --q 10007 --dt 0.01", "csv", 1): "fc6cbb4d14ffe6d888fc063ee085e23a21505a73f9a6a72a49d43eae81f1f7e7",
-    ("orbit --p 3571 --q 10007 --dt 0.01", "json", 1): "42b5c6359e69d13ff10837d18b58055b88fd32019e1d500cc914753b8bb660e0",
+    ("orbit --p 3571 --q 10007 --dt 0.01", "csv", 1): "b3c10f3d40e6be77c9ae86b014e60c810d481e835560ca4ded85d471825ed2c1",
+    ("orbit --p 3571 --q 10007 --dt 0.01", "json", 1): "1e2fa290ddd673164806a6726117ed6526981d6d9aa92464538542e64d7ab626",
     ("mass-escape --q 10007 --M 1.5,2,3,5 --t 3", "csv", 1): "6e585c352bcba9d2d761e7eb0f46fa6bbf12785e7ecb222fee77cbdeaeccc3cd",
     ("mass-escape --q 10007 --M 1.5,2,3,5 --t 3", "json", 1): "959fab203766881550230ec0e8bae647357da195b0fd2ba63bccd14d0722ab40",
 }

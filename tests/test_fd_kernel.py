@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cforbit import stats
-from cforbit.lattice import LatticeError, _fd_points, fd_point_floats
+from cforbit.lattice import LatticeError, _fd_points
 from cforbit.stats import orbit_fd_histogram
 
 ORBIT_POINTS_SHA256 = "415a2e46e5e59e85f02fb0e63d4bd62060bd9b01c0190df9fedbcf1013fbd222"
@@ -63,8 +63,8 @@ def digest(x, y) -> str:
 def test_points_are_frozen_in_batch_and_one_by_one(rows, want):
     r = rows()
     assert digest(*_fd_points(*r.T)) == want
-    pts = [fd_point_floats(*map(float, row)) for row in r]
-    assert digest([p[0] for p in pts], [p[1] for p in pts]) == want
+    pts = [_fd_points(*row) for row in r]
+    assert digest([x[0] for x, _ in pts], [y[0] for _, y in pts]) == want
 
 
 def test_boundary_ties_go_left():
@@ -92,4 +92,4 @@ def test_empty_batch_and_degenerate_bases():
     assert x.size == y.size == 0
     for row in ((1.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 1.0), (math.nan, 0.0, 0.0, 1.0)):
         with pytest.raises(LatticeError):
-            fd_point_floats(*row)
+            _fd_points(*row)

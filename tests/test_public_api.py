@@ -5,7 +5,7 @@ PUBLIC = """
     CfeWord ConvergentList CrossSectionPoint CrossingRecord DegenerateStartError
     DigitHistogram EmpiricalMeasure FdHistogram HeightBoundError HeightBoundReport
     Interval LEN_RATE LN2 LatticeBasis LatticeError MassEscapeBoundError
-    MassEscapeReport Modulus NumericEvent OrbitSample ReducedFraction
+    MassEscapeReport Modulus NumericEvent ReducedFraction
     SectionDomainError SweepSummary SymmetryError ZarembaCensus __version__
     averaged_height_tail brute_force_censuses cfe_digits cfe_len
     convergents coprime_array count_coprime_upto crossing_sequence

@@ -35,21 +35,14 @@ from cforbit.stats import (
 )
 
 
-def test_measure_validation_and_merge_rules():
+def test_measure_validation_and_cdf():
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([0.0, 1.0]), np.zeros(2))
     with pytest.raises(ValueError):
         uniform_edges(0)
-    a = EmpiricalMeasure(uniform_edges(4), np.ones(4))
-    b = EmpiricalMeasure(uniform_edges(8), np.ones(8))
-    with pytest.raises(ValueError):
-        a.merge(b)
-    exact = EmpiricalMeasure(uniform_edges(4), np.full(4, Fraction(1), dtype=object))
-    with pytest.raises(ValueError):
-        a.merge(exact)
-    m = a.merge(a)
+    m = EmpiricalMeasure(uniform_edges(4), np.full(4, 2.0))
     assert m.total_weight == 8.0
     cdf = m.cdf_at_edges()
     assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0)
@@ -60,8 +53,6 @@ def test_orbit_measure_is_exact():
     m = nu_pq(ReducedFraction(2, 5), bins=4)
     assert list(m.weights) == [Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)]
     assert m.total_weight == 1
-    both = m.merge(nu_pq(ReducedFraction(3, 5), bins=4))
-    assert both.total_weight == 2
 
 
 def test_len_stats_exact_moments():
