@@ -3,7 +3,8 @@
 Everything is integer arithmetic: factorization by trial division, totient
 and distinct-prime counts read off the factorization, the block sieve of
 coprime residues, the pairing p -> p' with p*p' = -1 (mod q), and the one
-vectorized Euclid kernel that every sweep over residues runs.
+vectorized Euclid kernel that the sweeps, the census oracle and the orbit
+excursions all run.
 """
 from __future__ import annotations
 
@@ -120,21 +121,27 @@ def _euclid_rounds(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]]:
     """Run the Euclid chains of the columns (a, b), 0 < b < a, one round at a time.
 
-    Each round yields (a, b, d, r, carry) over the live columns, with
-    d, r = divmod(a, b). Round k is the k-th digit of b/a, and a
-    column ends in the round where r hits 0; setting r to 0 ends a
-    column early. After the yield the ended columns are dropped from a,
-    b and every carried array (per-column state such as weights or
-    indices, which the caller may update in place) by the same mask.
-    Every array keeps the dtype it came in with, so int32 columns run
-    at half the memory of int64 ones.
+    Each round yields (a, b, d, r, carry) with d, r = divmod(a, b) and
+    carry per-column state (weights, indices) the caller may update in
+    place. Round k is the k-th digit of b/a. A column ends in the round
+    where r hits 0 while b > 0; setting r to 0 ends it early. From the
+    next round on it is parked: b = d = r = 0 (the divide-by-zero flag is
+    silenced for that divmod only). a, b and carry are compacted to the
+    live columns by one mask only once half of them are parked, so the
+    copying is O(width) per run; the live columns keep their order, and
+    every array keeps its dtype (int32 columns take half the memory).
     """
-    while b.size:
-        d, r = np.divmod(a, b)
+    live = b.size
+    while live:
+        with np.errstate(divide="ignore"):
+            d, r = np.divmod(a, b)
         yield a, b, d, r, carry
-        keep = r > 0
-        a, b = b[keep], r[keep]
-        carry = tuple(c[keep] for c in carry)
+        live = np.count_nonzero(r)  # a column stays live while its r is not 0
+        a, b = b, r
+        if 2 * live <= b.size:
+            keep = b > 0
+            a, b = a[keep], b[keep]
+            carry = tuple(c[keep] for c in carry)
 
 
 def count_coprime_upto(m: int | Modulus, alpha: Rational) -> int:

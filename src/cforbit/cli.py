@@ -429,7 +429,8 @@ def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Block]:
             "t": r.t,
             "count": r.count,
             "bound": float(r.bound),
-            "ratio": r.count / float(r.bound),
+            # the bound underflows to 0.0 only at a huge M, where the count is 0
+            "ratio": r.count / float(r.bound) if r.count else 0.0,
             "in_hypothesis": r.in_hypothesis,
             "escalations": r.escalations,
         }), None

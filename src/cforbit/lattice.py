@@ -5,7 +5,8 @@ A lattice is the integer row span of a 2x2 basis with |det| = 1. The
 orbit of a rational x is t -> span of rows (e^{-t/2}, x e^{t/2}) and
 (0, e^{t/2}); it lives near the compact part only for t in [0, 2 ln q].
 Height is the reciprocal of the shortest nonzero vector length
-(Euclidean norm throughout).
+(Euclidean norm throughout). Excursions toward the cusp are read off
+the Euclid chain of p/q, run by arith._euclid_rounds, the one kernel.
 """
 from __future__ import annotations
 
@@ -329,7 +330,11 @@ def _excursions(q: int | np.ndarray, ps: np.ndarray) -> Iterator[tuple[np.ndarra
     rounds = _euclid_rounds(qs, ps, np.arange(n), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
     for k, (_, b, d, r, (idx, *pair)) in enumerate(rounds):
         qk, qk1 = pair[k & 1], pair[~k & 1]
-        yield idx, qk, b, r
+        # hand on the columns the kernel has not parked, and take their rem back
+        live = slice(None) if np.count_nonzero(b) == b.size else np.flatnonzero(b)
+        rem = r[live]
+        yield idx[live], qk[live], b[live], rem
+        r[live] = rem
         qk1 += d * qk
 
 

@@ -10,12 +10,10 @@ coprime residues per chunk of 2^18 with the block sieve of arith, run
 Euclid rounds on int32 columns below q = 2^31 (int64 above), and
 merge the chunks in ascending order. So memory is O(2^18) whatever q
 is, and results are deterministic down to the last bit for a given q
-and binning. Their rounds park an ended column rather than drop it: it
-keeps b = 0, divides to zeros and adds exact zeros, and the columns are
-compacted only once half of them have ended. The live columns keep
-their order, so every float sum adds the same terms in the same order
-as a sweep that drops ended columns every round, and the copying falls
-from one compaction per round to O(2^18) per chunk. They keep
+and binning. They run the one Euclid kernel, arith._euclid_rounds,
+which the census oracle of zaremba and the excursions of lattice run
+too; a parked column adds exact zeros, so every float sum equals the
+one of a sweep that drops ended columns every round. They keep
 histograms only: the length statistics read a histogram of len(p/q),
 not one length per residue. Gauss-map points are binned exactly: the
 bin of B/A with nbins bins is (B * nbins) // A, never a float
@@ -42,7 +40,7 @@ from typing import Callable, Iterator, Union
 import mpmath
 import numpy as np
 
-from .arith import Modulus, _coprime_mask, euler_phi, factorize, omega
+from .arith import Modulus, _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
 from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
@@ -146,37 +144,6 @@ def _residue_chunks(q: int) -> Iterator[np.ndarray]:
         lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
 
 
-def _parked_rounds(
-    q: int, chunk: np.ndarray, carry: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The Euclid rounds of the columns (q, p), p in chunk, with ended columns parked, not dropped.
-
-    Each round yields (a, b, d, ended, carry), with d, r = divmod(a, b)
-    and ended marking the columns whose r hits 0 in this round; carry is
-    one per-column array that the caller may update in place. An ended
-    column is parked: from the next round on its b is 0, so numpy's
-    integer division gives it d = r = 0 (the divide-by-zero flag is
-    silenced for that call only). The columns and carry are compacted to
-    the live ones only once half of them are parked, so the copying
-    costs O(width) per chunk and divmod on parked columns stays below
-    twice the live work. Unlike arith._euclid_rounds, the yielded
-    columns may hold parked ones; live columns keep their order.
-    """
-    a = np.full(chunk.size, q, dtype=chunk.dtype)
-    b = chunk
-    live = chunk.size
-    while live:
-        with np.errstate(divide="ignore"):
-            d, r = np.divmod(a, b)
-        ended = (r == 0) & (b > 0)
-        yield a, b, d, ended, carry
-        live -= int(np.count_nonzero(ended))
-        a, b = b, r
-        if 2 * live <= b.size:
-            keep = b > 0
-            a, b, carry = a[keep], b[keep], carry[keep]
-
-
 @lru_cache(maxsize=16)
 def _sweep(q: int, bins: int) -> _SweepData:
     """Two Euclid runs per chunk of coprime p: lengths first, then the 1/len-weighted statistics.
@@ -187,13 +154,13 @@ def _sweep(q: int, bins: int) -> _SweepData:
     and int64 above; a (q, bins) whose bin index could pass the int64
     ceiling is refused up front.
 
-    Both runs read _parked_rounds. Pass 2 zeroes a column's weight once
-    it ends, so a parked column adds +0.0 to bin 0 of each weighted
-    bincount (a sequential sum per bin, so every bin keeps its bits), its
-    digit 0 lands in a bin no live column reaches, and the digit-1 mass
-    sums the same live weights in the same order as with the parked
-    columns dropped. So every result equals, bit for bit, the sweep that
-    drops ended columns every round.
+    Both runs read arith._euclid_rounds, which parks ended columns. Pass
+    2 zeroes a column's weight once it ends, so a parked column adds +0.0
+    to bin 0 of each weighted bincount (a sequential sum per bin, so every
+    bin keeps its bits), its digit 0 lands in a bin no live column
+    reaches, and the digit-1 mass sums the same live weights in the same
+    order as with the parked columns dropped. So every result equals, bit
+    for bit, the sweep that drops ended columns every round.
 
     An entry holds histograms only (about 3 KB at the default binning),
     so the cache can keep every (q, bins) a run revisits.
@@ -210,18 +177,18 @@ def _sweep(q: int, bins: int) -> _SweepData:
     digit1_weighted = 0.0
     for chunk in _residue_chunks(q):
         lens = np.zeros_like(chunk)
-        rounds = _parked_rounds(q, chunk, np.arange(chunk.size, dtype=chunk.dtype))
-        for k, (_, _, _, ended, idx) in enumerate(rounds, 1):
-            lens[idx[ended]] = k
+        rounds = _euclid_rounds(np.full_like(chunk, q), chunk, np.arange(chunk.size, dtype=chunk.dtype))
+        for k, (_, b, _, r, (idx,)) in enumerate(rounds, 1):
+            lens[idx[(r == 0) & (b > 0)]] = k
         len_counts += np.bincount(lens, minlength=len_counts.size)
-        for a, b, d, ended, w in _parked_rounds(q, chunk, 1.0 / lens):
+        for a, b, d, r, (w,) in _euclid_rounds(np.full_like(chunk, q), chunk, 1.0 / lens):
             with np.errstate(divide="ignore"):  # a column parked for two rounds has a = 0 too
                 cell = np.multiply(b, bins, dtype=bin_dtype) // a
             hist += np.bincount(cell, weights=w, minlength=bins)
             digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
             # the same elements as w[d == 1], so the same pairwise sum, at about a quarter of the cost
             digit1_weighted += float(np.compress(d == 1, w).sum())
-            w[ended] = 0.0
+            w[r == 0] = 0.0  # a parked column's weight is 0 already
     digit_counts[0] = 0  # the parked columns' d = 0
     return _SweepData(int(len_counts.sum()), len_counts, hist, digit_counts, digit1_weighted)
 
@@ -491,8 +458,10 @@ def orbit_fd_histogram(
     """Fundamental-domain occupation histogram of the orbits of a residue subsample.
 
     Every (residue, grid time) point goes through the array kernel of
-    lattice, at most _FD_CHUNK points per call. The weights are sums of
-    the trapezoid end weights 1/2 and 1, so they are exact.
+    lattice, at most _FD_CHUNK points per call, and each call's points
+    are added into the cells at once, so memory does not grow with
+    sample_size. The weights are sums of the trapezoid end weights 1/2
+    and 1, so they are exact and do not depend on the chunking.
     """
     if not 0 < dt <= 0.1:
         raise ValueError("dt must lie in (0, 0.1]")
@@ -507,14 +476,12 @@ def orbit_fd_histogram(
     tw = np.ones(n + 1)
     tw[0] = tw[-1] = 0.5
     xf = residues / qi
-    xs = np.empty((xf.size, n + 1))
-    ys = np.empty((xf.size, n + 1))
+    weights = np.zeros((grid, grid))
     rows = max(1, _FD_CHUNK // (n + 1))
     for lo in range(0, xf.size, rows):
-        fx, fy = _fd_points(1.0 / half, xf[lo : lo + rows, None] * half, 0.0, half)
-        xs[lo : lo + rows] = fx.reshape(-1, n + 1)
-        ys[lo : lo + rows] = fy.reshape(-1, n + 1)
-    weights = _fd_accumulate(xs.ravel(), 1.0 / ys.ravel(), np.tile(tw, xf.size), grid)
+        x = xf[lo : lo + rows, None]
+        fx, fy = _fd_points(1.0 / half, x * half, 0.0, half)
+        weights += _fd_accumulate(fx, 1.0 / fy, np.tile(tw, x.size), grid)
     return FdHistogram(grid, weights, fd_cell_masses(grid))
 
 

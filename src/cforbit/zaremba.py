@@ -14,7 +14,8 @@ q_{k+1} = a*q_k + q_{k-1}: it pops its states from a stack one fixed
 block at a time and tallies each block's closures into the arrays, so
 it holds the two tallies and a few blocks of states, however many
 members there are. The second is a direct digit filter kept as
-the oracle: one Euclid-kernel run of arith reads the level of each
+the oracle: one run of arith._euclid_rounds, the Euclid kernel that
+the sweeps and the orbit excursions run too, reads the level of each
 coprime pair p/q, max(interior digits, last - 1) relaxed or max(digits)
 strict, and ends a chain once a digit passes the largest bound; p is a
 member when its level is at most K. Orbits of
@@ -240,8 +241,8 @@ def _levels(q: np.ndarray, p: np.ndarray, top: int) -> tuple[np.ndarray, np.ndar
     n = p.size
     inner = np.full(n, top + 1, dtype=np.int64)  # largest interior digit; top + 1 once ended early
     last = np.zeros(n, dtype=np.int64)
-    for _, _, d, r, (idx, mx) in _euclid_rounds(q, p, np.arange(n), np.zeros(n, dtype=np.int64)):
-        fin = r == 0
+    for _, b, d, r, (idx, mx) in _euclid_rounds(q, p, np.arange(n), np.zeros(n, dtype=np.int64)):
+        fin = (r == 0) & (b > 0)
         i = idx[fin]
         inner[i] = mx[fin]
         last[i] = d[fin]
@@ -337,6 +338,7 @@ def _cached_block(lo: int, hi: int, K: int) -> _Block:
 def _block(q: int, K: int, peaks: bool) -> _Block:
     """The block that serves q; a block of one q is built for the call and not kept."""
     lo, hi = _block_span(q)
+    K = min(K, hi - 1)  # no digit of p/q exceeds q, and a K past int64 would not fit _levels
     if hi - lo == 1:
         return _build_block(lo, hi, K, peaks)
     return _cached_block(lo, hi, K)
@@ -374,14 +376,15 @@ def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
         raise ValueError("Q must be >= 2")
     if not Ks or any(K < 1 for K in Ks):
         raise ValueError("digit bounds must be >= 1")
-    bounds = np.array(sorted(set(Ks)), dtype=np.int64)
+    # no digit of p/q exceeds q, so a bound past Q (even past int64) counts as Q
+    bounds = np.array(sorted({min(K, Q) for K in Ks}), dtype=np.int64)
     width = bounds.size + 1
     tallies = np.zeros((2, (Q + 1) * width), dtype=np.int64)
     for q, p in _coprime_pairs(2, Q + 1):
         for tally, level in zip(tallies, _levels(q, p, int(bounds[-1]))):
             np.add.at(tally, q * width + np.searchsorted(bounds, level), 1)
     relaxed, strict = tallies.reshape(2, Q + 1, width).cumsum(axis=2)
-    col = dict(zip(bounds.tolist(), range(width)))
+    col = {K: int(np.searchsorted(bounds, min(K, Q))) for K in Ks}
     return {
         K: ZarembaCensus(K, Q, _Tally(relaxed[:, col[K]].copy()), _Tally(strict[:, col[K]].copy()))
         for K in Ks
@@ -439,7 +442,12 @@ def height_bound_check(q: int, K: int) -> HeightBoundReport:
         raise ValueError("q must lie in [2, 10^6]")
     if K < 1:
         raise ValueError("K must be >= 1")
-    bound = math.sqrt(2.0) * (K + 1) ** 1.5
+    try:
+        bound = math.sqrt(2.0) * (K + 1) ** 1.5
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise ValueError(f"K={K}: the height bound sqrt(2)*(K+1)^(3/2) is not a finite float")
     block = _block(q, K, peaks=True)
     i = q - block.lo
     checked = int(block.starts[i + 1] - block.starts[i])

@@ -173,6 +173,25 @@ def test_mass_escape_rows():
         assert row["count"] == 0 and row["in_hypothesis"] is True
 
 
+def test_mass_escape_with_an_underflowing_bound(capsys):
+    # 4 phi / M^2 underflows to 0.0 at M = 1e300, and the count is 0
+    argv = ["mass-escape", "--q", "101", "--M", "1e300", "--t", "1", "--threads", "1"]
+    _, (row,) = read_rows(emit_text(argv))
+    assert (row["count"], row["bound"], row["ratio"]) == (0, 0.0, 0.0)
+    assert main(argv) == 0
+
+
+def test_zaremba_height_digit_bounds_past_int64(capsys):
+    def row(K):
+        _, (r,) = read_rows(emit_text(["zaremba-height", "--q", "100", "--K", str(K), "--threads", "1"]))
+        return r["checked"], r["max_height"], r["argmax_t"], r["argmax_p"]
+
+    assert row(2**63) == row(10**20) == row(100)
+    assert main(["zaremba-height", "--q", "100", "--K", str(10**400), "--threads", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert json.loads(err[-1])["error"] == "config" and "not a finite float" in err[-1]
+
+
 def test_haar_selftest_passes_at_default_size():
     _, (row,) = read_rows(emit_text(["haar-selftest", "--threads", "1"]))
     assert row["n"] == 100000

@@ -294,13 +294,42 @@ def test_symmetry_error_carries_a_residual_slot():
     assert issubclass(SymmetryError, LatticeError)
 
 
-def _chains(q, ps):
-    """Per column of ps, the (q_k, r_k) of every round of _excursions."""
+def _chains(q, ps, cap=None):
+    """Per column of ps, the (q_k, r_k) of every round of _excursions; a column ends early once q_k > cap."""
     chains = [[] for _ in range(ps.size)]
-    for idx, qk, rk, _ in _excursions(q, ps):
+    for idx, qk, rk, rem in _excursions(q, ps):
         for i, a, b in zip(idx.tolist(), qk.tolist(), rk.tolist()):
             chains[i].append((a, b))
+        if cap is not None:
+            rem[qk > cap] = 0
     return chains
+
+
+def _dropping_chains(q, ps, cap):
+    """The reference of _chains: the Euclid rounds with ended columns dropped every round."""
+    chains = [[] for _ in range(ps.size)]
+    a, b, idx = q.copy(), ps.copy(), np.arange(ps.size)
+    qk, qk1 = np.ones_like(ps), np.zeros_like(ps)
+    while b.size:
+        d, r = np.divmod(a, b)
+        for i, x, y in zip(idx.tolist(), qk.tolist(), b.tolist()):
+            chains[i].append((x, y))
+        r[qk > cap] = 0
+        keep = r > 0
+        a, b, idx, qk, qk1 = b[keep], r[keep], idx[keep], (d * qk + qk1)[keep], qk[keep]
+    return chains
+
+
+@given(
+    qs=st.lists(st.integers(min_value=2, max_value=400), min_size=1, max_size=8),
+    cap=st.integers(min_value=1, max_value=500),
+)
+def test_excursions_hand_on_the_live_columns_of_the_parking_kernel(qs, cap):
+    ps = [coprime_array(q) for q in qs]
+    column = np.repeat(np.array(qs, dtype=np.int64), [p.size for p in ps])
+    ps = np.concatenate(ps)
+    assert _chains(column, ps, cap) == _dropping_chains(column, ps, cap)
+    assert _chains(column, ps) == _dropping_chains(column, ps, max(qs))
 
 
 def test_excursions_take_one_q_or_a_column():

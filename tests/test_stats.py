@@ -370,6 +370,21 @@ def test_orbit_histogram_smoke():
     assert math.isfinite(fd.discrepancy())
 
 
+def test_orbit_histogram_memory_does_not_grow_with_the_sample():
+    # each call of the fundamental-domain kernel is binned before the next; 600
+    # residues already take four calls at q = 10007, 3000 take 17
+    orbit_fd_histogram(10007, sample_size=20)  # one-time allocations stay out of the trace
+    peaks = []
+    for size in (600, 3000):
+        tracemalloc.start()
+        try:
+            orbit_fd_histogram(10007, sample_size=size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
 @pytest.mark.parametrize(
     "kw, message",
     [

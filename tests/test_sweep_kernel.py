@@ -18,8 +18,17 @@ from hypothesis import given, settings, strategies as st
 from cforbit import stats
 from cforbit.arith import _euclid_rounds, coprime_array, euler_phi
 from cforbit.cfe import ReducedFraction, cfe_digits, cfe_len
-from cforbit.stats import _CHUNK, DEFAULT_BINS, DIGIT_CAP, _sweep, digit_one_frequency, len_stats, nu_bar
-from cforbit.zaremba import _PAIR_CHUNK, _levels, brute_force_censuses, enumerate_bounded
+from cforbit.stats import (
+    _CHUNK,
+    DEFAULT_BINS,
+    DIGIT_CAP,
+    _sweep,
+    digit_one_frequency,
+    len_stats,
+    mass_escape_count,
+    nu_bar,
+)
+from cforbit.zaremba import _PAIR_CHUNK, _levels, brute_force_censuses, enumerate_bounded, height_bound_check
 
 # (q, bins): sha256 of nu_bar weights, sha256 of (sorted digit counts, overflow)
 FROZEN_BITS = {
@@ -143,8 +152,17 @@ def test_residue_sample_is_the_choice_over_the_coprime_array(q, sample_size, see
     assert np.array_equal(sample, residues)
 
 
+def _dropping_rounds(a, b, carry):
+    """Euclid rounds that drop the ended columns after every round, with one carried array."""
+    while b.size:
+        d, r = np.divmod(a, b)
+        yield a, b, d, r, carry
+        keep = r > 0
+        a, b, carry = b[keep], r[keep], carry[keep]
+
+
 def _dropping_sweep(q, bins):
-    """The reference: the sweep that drops ended columns every round, through arith._euclid_rounds.
+    """The reference: the sweep that drops ended columns every round, through its own rounds.
 
     Same chunks, same int64 bin index and same float sums per round as
     the parked sweep must reproduce, with no parked column ever present.
@@ -156,11 +174,11 @@ def _dropping_sweep(q, bins):
     for chunk in stats._residue_chunks(q):
         qs = np.full(chunk.size, q, dtype=chunk.dtype)
         lens = np.zeros_like(chunk)
-        rounds = _euclid_rounds(qs, chunk, np.arange(chunk.size, dtype=chunk.dtype))
-        for k, (_, _, _, r, (idx,)) in enumerate(rounds, 1):
+        rounds = _dropping_rounds(qs, chunk, np.arange(chunk.size, dtype=chunk.dtype))
+        for k, (_, _, _, r, idx) in enumerate(rounds, 1):
             lens[idx[r == 0]] = k
         len_counts += np.bincount(lens, minlength=len_counts.size)
-        for a, b, d, _, (w,) in _euclid_rounds(qs, chunk, 1.0 / lens):
+        for a, b, d, _, w in _dropping_rounds(qs, chunk, 1.0 / lens):
             hist += np.bincount(np.multiply(b, bins, dtype=np.int64) // a, weights=w, minlength=bins)
             digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
             digit1_weighted += float(w[d == 1].sum())
@@ -202,13 +220,41 @@ def test_int64_columns_give_the_int32_bits(q, bins, monkeypatch):
 
 
 def test_parked_division_warns_nothing_and_restores_the_error_state():
-    # a parked column divides by b = 0 every round it stays parked
-    for state in ({}, {"all": "raise"}):
-        with np.errstate(**state), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            before = np.geterr()
-            _sweep.__wrapped__(100003, 64)
-            assert np.geterr() == before
+    # a parked column divides by b = 0 every round it stays parked, in every caller of the kernel
+    runs = (
+        lambda: _sweep.__wrapped__(100003, 64),
+        lambda: brute_force_censuses(300, (1, 3)),
+        lambda: height_bound_check(2003, 3),
+        lambda: mass_escape_count(100003, 8.0, 2.0),
+    )
+    for run in runs:
+        for state in ({}, {"all": "raise"}):
+            with np.errstate(**state), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                before = np.geterr()
+                run()
+                assert np.geterr() == before
+
+
+_pairs = st.integers(min_value=2, max_value=10**6).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(min_value=1, max_value=a - 1))
+)
+
+
+@settings(max_examples=40)
+@given(pairs=st.lists(_pairs, min_size=1, max_size=60), dtype=st.sampled_from((np.int32, np.int64)))
+def test_kernel_parks_ended_columns_and_keeps_the_live_ones_in_order(pairs, dtype):
+    a, b = np.array(pairs, dtype=dtype).T.copy()
+    ref = _dropping_rounds(a, b, np.arange(a.size))
+    for (ka, kb, kd, kr, (idx,)), (ra, rb, rd, rr, ridx) in zip(_euclid_rounds(a, b, np.arange(a.size)), ref):
+        assert {x.dtype for x in (ka, kb, kd, kr)} == {np.dtype(dtype)}
+        live = kb > 0
+        # parked columns divide to zeros, and they are compacted away by the time half are parked
+        assert not kd[~live].any() and not kr[~live].any()
+        assert 2 * np.count_nonzero(live) > kb.size
+        for got, want in ((ka, ra), (kb, rb), (kd, rd), (kr, rr), (idx, ridx)):
+            assert got[live].tolist() == want.tolist()
+    assert next(ref, None) is None
 
 
 def test_sweep_refuses_bin_indices_past_the_int64_ceiling():

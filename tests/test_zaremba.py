@@ -156,6 +156,23 @@ def test_digit_bounds_beyond_q():
     assert brute_force_censuses(200, (10**9,)) == {10**9: brutes[10**9]}
 
 
+@pytest.mark.parametrize("K", [2**63, 10**20])
+def test_digit_bounds_past_int64_are_the_bound_q(K):
+    # no digit of p/q exceeds q, so the bound is clamped before any int64 array holds it
+    for q in (7, 100, 5000):
+        for strict in (False, True):
+            assert np.array_equal(members(q, K, strict), members(q, q, strict))
+        got, want = height_bound_check(q, K), height_bound_check(q, q)
+        assert (got.K, got.bound) == (K, math.sqrt(2.0) * (K + 1) ** 1.5)
+        assert (got.checked, got.max_height, got.argmax_t, got.argmax_p) == (
+            want.checked, want.max_height, want.argmax_t, want.argmax_p
+        )
+    brutes = brute_force_censuses(50, (2, K))
+    assert brutes[2] == enumerate_bounded(50, 2)
+    every = brute_force_censuses(50, (50,))[50]
+    assert (brutes[K].K, brutes[K].counts, brutes[K].strict_counts) == (K, every.counts, every.strict_counts)
+
+
 def test_exponent_fit():
     census = enumerate_bounded(4096, 2)
     assert census.total() == 8583
@@ -199,6 +216,10 @@ def test_height_bound_validation():
         height_bound_check(1, 1)
     with pytest.raises(ValueError):
         height_bound_check(10**6 + 1, 1)
+    # sqrt(2) times (K+1)^{3/2} is inf; (K+1)^{3/2} overflows; K + 1 is past the float range
+    for K in (3 * 10**205, 10**206, 10**400):
+        with pytest.raises(ValueError, match="not a finite float"):
+            height_bound_check(100, K)
 
 
 def test_census_members_are_consistent():
