@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
 import numpy as np
 
 from .cfe import ReducedFraction
@@ -261,6 +260,8 @@ def detect_crossings_numeric(x: ReducedFraction, dt: float) -> list[float]:
 
 def kappa_quadrature() -> float:
     """The section-measure normalizing constant: reciprocal of -4 * integral of ln(y)/(1+y) on (0,1)."""
+    import mpmath  # only here and in stats.mass_escape_count, so import cforbit does not load it
+
     old = mpmath.mp.dps
     try:
         mpmath.mp.dps = 30

@@ -7,17 +7,19 @@ the exact no-escape-of-mass counting bound.
 
 Full sweeps never hold all phi(q) residues at once. They build the
 coprime residues per chunk of 2^18 with the block sieve of arith, run
-Euclid rounds on int32 columns below q = 2^31 (int64 above), and
-merge the chunks in ascending order. So memory is O(2^18) whatever q
-is, and results are deterministic down to the last bit for a given q
-and binning. They run the one Euclid kernel, arith._euclid_rounds,
-which the census oracle of zaremba and the excursions of lattice run
-too; a parked column adds exact zeros, so every float sum equals the
-one of a sweep that drops ended columns every round. They keep
-histograms only: the length statistics read a histogram of len(p/q),
-not one length per residue. Gauss-map points are binned exactly: the
-bin of B/A with nbins bins is (B * nbins) // A, never a float
-comparison.
+Euclid rounds on int32 columns below q = 2^31 (int64 above) over
+slices of 2^15 columns of each chunk, and merge the chunks in
+ascending order. So memory is bounded whatever q is (about 5 MB traced
+for a sweep, 6 MB for the mass-escape count), and results are
+deterministic down to the last bit for a given q and binning: the 2^18
+chunk, not the slice, is the unit of every float sum. They run the one
+Euclid kernel, arith._euclid_rounds, which the census oracle of zaremba
+and the excursions of lattice run too; a parked column adds exact
+zeros, so every float sum equals the one of a sweep that drops ended
+columns every round. They keep histograms only: the length statistics
+read a histogram of len(p/q), not one length per residue. Gauss-map
+points are binned exactly: the bin of B/A with nbins bins is
+(B * nbins) // A, never a float comparison.
 
 Orbit heights and the no-escape-of-mass count are exact: each excursion
 toward the cusp, its peak, its time above a height M and the norm of its
@@ -37,7 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Union
 
-import mpmath
 import numpy as np
 
 from .arith import Modulus, _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
@@ -52,6 +53,7 @@ ZETA2 = math.pi * math.pi / 6.0
 LEN_RATE = LN2 / ZETA2
 
 _CHUNK = 1 << 18
+_COLUMNS = 1 << 15  # columns per Euclid run; the float sums stay per _CHUNK
 
 #: smallest modulus the full sweeps (nu_bar, len_stats, dispersion, digit_one_frequency) accept
 SWEEP_Q_MIN = 3
@@ -144,23 +146,70 @@ def _residue_chunks(q: int) -> Iterator[np.ndarray]:
         lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
 
 
+def _chunk_rounds(
+    q: int, chunk: np.ndarray, bins: int, len_counts: np.ndarray, digit_counts: np.ndarray
+) -> list[tuple[np.ndarray, float]]:
+    """One chunk's 1/len-weighted histogram and digit-1 mass per Euclid round, run _COLUMNS columns at a time.
+
+    Each slice runs both Euclid passes and adds its round-k cells into the
+    round-k accumulator with np.add.at, which adds in index order as
+    bincount does; so after the last slice every bin holds the sequential
+    sum that one bincount over the whole chunk's round gives. The uint8
+    lengths of each round's digit-1 columns are kept (len <= 93 below
+    2^63, by Lame), and their weights 1/len are summed once per round at
+    the end: the same values in the same order, so the same pairwise sum,
+    as over the whole chunk. The integer tallies len_counts and
+    digit_counts are added into in place. The slices' state is freed on
+    return, before the next chunk is sieved; what stays per chunk is one
+    byte per digit 1 and rounds x bins accumulator floats (about 70 KB
+    at the default 256 bins, but more than the columns past about 2^15
+    bins).
+    """
+    bin_dtype = np.int32 if (q - 1) * bins < 2**31 else np.int64
+    hists: list[np.ndarray] = []
+    d1_lens: list[list[np.ndarray]] = []
+    for lo in range(0, chunk.size, _COLUMNS):
+        cols = chunk[lo : lo + _COLUMNS]
+        lens = np.zeros_like(cols)
+        rounds = _euclid_rounds(np.full_like(cols, q), cols, np.arange(cols.size, dtype=cols.dtype))
+        for k, (_, b, _, r, (idx,)) in enumerate(rounds, 1):
+            lens[idx[(r == 0) & (b > 0)]] = k
+        len_counts += np.bincount(lens, minlength=len_counts.size)
+        rounds = _euclid_rounds(np.full_like(cols, q), cols, 1.0 / lens, lens.astype(np.uint8))
+        for k, (a, b, d, r, (w, n)) in enumerate(rounds):
+            if k == len(hists):
+                hists.append(np.zeros(bins))
+                d1_lens.append([])
+            with np.errstate(divide="ignore"):  # a column parked for two rounds has a = 0 too
+                cell = np.multiply(b, bins, dtype=bin_dtype) // a
+            np.add.at(hists[k], cell, w)
+            digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
+            d1_lens[k].append(np.compress(d == 1, n))  # a parked column has d = 0
+            w[r == 0] = 0.0  # a parked column's weight is 0 already
+    return [(h, float((1.0 / np.concatenate(n)).sum())) for h, n in zip(hists, d1_lens)]
+
+
 @lru_cache(maxsize=16)
 def _sweep(q: int, bins: int) -> _SweepData:
-    """Two Euclid runs per chunk of coprime p: lengths first, then the 1/len-weighted statistics.
+    """Two Euclid runs per slice of coprime p: lengths first, then the 1/len-weighted statistics.
 
-    The residues are sieved per chunk of 2^18 (_residue_chunks) and both
-    runs use int32 columns below q = 2^31, so memory is O(2^18) whatever
-    q is. The bin index b * bins is int32 while (q - 1) * bins < 2^31
-    and int64 above; a (q, bins) whose bin index could pass the int64
-    ceiling is refused up front.
+    The residues are sieved per chunk of 2^18 (_residue_chunks), and each
+    chunk is run _COLUMNS = 2^15 columns at a time (_chunk_rounds), on
+    int32 columns below q = 2^31, so memory is bounded whatever q is
+    (about 5 MB traced at the default binning). The chunk stays the unit
+    of every float sum: its per-round histograms and digit-1 masses are
+    added in chunk order, then round order. The bin index b * bins is
+    int32 while (q - 1) * bins < 2^31 and int64 above; a (q, bins) whose
+    bin index could pass the int64 ceiling is refused up front.
 
     Both runs read arith._euclid_rounds, which parks ended columns. Pass
     2 zeroes a column's weight once it ends, so a parked column adds +0.0
-    to bin 0 of each weighted bincount (a sequential sum per bin, so every
-    bin keeps its bits), its digit 0 lands in a bin no live column
+    to bin 0 of each round's histogram (a sequential sum per bin, so
+    every bin keeps its bits), its digit 0 lands in a bin no live column
     reaches, and the digit-1 mass sums the same live weights in the same
     order as with the parked columns dropped. So every result equals, bit
-    for bit, the sweep that drops ended columns every round.
+    for bit, the sweep that drops ended columns every round, over whole
+    chunks.
 
     An entry holds histograms only (about 3 KB at the default binning),
     so the cache can keep every (q, bins) a run revisits.
@@ -169,26 +218,15 @@ def _sweep(q: int, bins: int) -> _SweepData:
         raise ValueError(f"q must be >= {SWEEP_Q_MIN}")
     if (q - 1) * bins >= 2**63:
         raise ValueError(f"q={q}, bins={bins}: the bin index b * bins can reach the int64 ceiling 2^63")
-    bin_dtype = np.int32 if (q - 1) * bins < 2**31 else np.int64
     # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
     len_counts = np.zeros(q.bit_length() * 3 // 2 + 2, dtype=np.int64)
     hist = np.zeros(bins, dtype=np.float64)
     digit_counts = np.zeros(DIGIT_CAP + 2, dtype=np.int64)
     digit1_weighted = 0.0
     for chunk in _residue_chunks(q):
-        lens = np.zeros_like(chunk)
-        rounds = _euclid_rounds(np.full_like(chunk, q), chunk, np.arange(chunk.size, dtype=chunk.dtype))
-        for k, (_, b, _, r, (idx,)) in enumerate(rounds, 1):
-            lens[idx[(r == 0) & (b > 0)]] = k
-        len_counts += np.bincount(lens, minlength=len_counts.size)
-        for a, b, d, r, (w,) in _euclid_rounds(np.full_like(chunk, q), chunk, 1.0 / lens):
-            with np.errstate(divide="ignore"):  # a column parked for two rounds has a = 0 too
-                cell = np.multiply(b, bins, dtype=bin_dtype) // a
-            hist += np.bincount(cell, weights=w, minlength=bins)
-            digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
-            # the same elements as w[d == 1], so the same pairwise sum, at about a quarter of the cost
-            digit1_weighted += float(np.compress(d == 1, w).sum())
-            w[r == 0] = 0.0  # a parked column's weight is 0 already
+        for h, mass in _chunk_rounds(q, chunk, bins, len_counts, digit_counts):
+            hist += h
+            digit1_weighted += mass
     digit_counts[0] = 0  # the parked columns' d = 0
     return _SweepData(int(len_counts.sum()), len_counts, hist, digit_counts, digit1_weighted)
 
@@ -338,8 +376,8 @@ def mass_escape_count(
     it; escalations counts the margin hits per (vector, residue). The
     count is asserted against (4/M^2) phi(q), a bound proven in the range
     0 <= t <= ln q - 2 omega(q); checked=False skips that range guard.
-    The residues are taken per chunk of _residue_chunks, so memory is
-    O(2^18) whatever q is.
+    The residues are taken per chunk of _residue_chunks and run _COLUMNS
+    at a time, so memory is bounded whatever q is (about 6 MB traced).
     """
     qi = _q_int(q)
     if M <= 1:
@@ -359,28 +397,31 @@ def mass_escape_count(
     escalations = 0
 
     def exact(m: int, r: int) -> bool:
+        import mpmath  # only a margin hit needs it, so import cforbit does not load it
+
         with mpmath.workdps(50):
             lhs = m * m * mpmath.exp(-t) + (mpmath.mpf(r) / qi) ** 2 * mpmath.exp(t)
             return lhs <= 1 / mpmath.mpf(M) ** 2
 
     count = residues = 0
     for chunk in _residue_chunks(qi):
-        ps = chunk.astype(np.int64)  # int64 like every other column of _excursions
-        hit = np.zeros(ps.size, dtype=bool)
-        for idx, qk, rk, rem in _excursions(qi, ps):
-            # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
-            # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
-            head = np.square(qk, dtype=np.float64) * emt
-            gap = head + (rk / qi) ** 2 * ept - inv_m2
-            hit[idx[gap < -tol]] = True
-            near = np.flatnonzero(np.abs(gap) <= tol)
-            escalations += near.size
-            for i in near:
-                hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
-            # later convergents have larger q_k, so none of them can be short
-            rem[head - inv_m2 > tol] = 0
-        count += int(np.count_nonzero(hit))
-        residues += ps.size
+        for lo in range(0, chunk.size, _COLUMNS):
+            ps = chunk[lo : lo + _COLUMNS].astype(np.int64)  # int64 like every other column of _excursions
+            hit = np.zeros(ps.size, dtype=bool)
+            for idx, qk, rk, rem in _excursions(qi, ps):
+                # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
+                # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
+                head = np.square(qk, dtype=np.float64) * emt
+                gap = head + (rk / qi) ** 2 * ept - inv_m2
+                hit[idx[gap < -tol]] = True
+                near = np.flatnonzero(np.abs(gap) <= tol)
+                escalations += near.size
+                for i in near:
+                    hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
+                # later convergents have larger q_k, so none of them can be short
+                rem[head - inv_m2 > tol] = 0
+            count += int(np.count_nonzero(hit))
+            residues += ps.size
     # every chain ends in the vector (q, 0), short for every residue or for none
     gap = qi * qi * emt - inv_m2
     if abs(gap) <= tol:

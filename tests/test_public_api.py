@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import cforbit
 
 # the package's public names; __all__ is derived from the imports in __init__.py
@@ -26,3 +30,10 @@ def test_all_is_exactly_the_public_set():
     assert len(cforbit.__all__) == len(set(cforbit.__all__))
     assert set(cforbit.__all__) == set(PUBLIC)
     assert all(hasattr(cforbit, name) for name in PUBLIC)
+
+
+def test_import_does_not_load_mpmath():
+    # only the 50-digit margin check of mass_escape_count and kappa_quadrature need it
+    code = "import sys, cforbit, cforbit.cli; assert 'mpmath' not in sys.modules"
+    src = str(Path(cforbit.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)

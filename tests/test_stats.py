@@ -310,6 +310,18 @@ def test_mass_escape_memory_does_not_grow_with_q():
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
+def test_mass_escape_traced_peak_is_bounded():
+    # at this q whole 2^18-residue chunks peaked at 41.0 MB traced, 2^15-column slices at about 6 MB
+    tracemalloc.start()
+    try:
+        rep = mass_escape_count(10**6 + 3, 5.0, 11.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.count, rep.escalations) == (38154, 0)
+    assert peak <= 10 * 2**20, peak
+
+
 def test_mass_escape_report_fields():
     rep = mass_escape_count(997, 3.0, 4.0)
     assert (rep.count, rep.in_hypothesis, rep.escalations) == (108, True, 0)

@@ -200,10 +200,13 @@ def _sweep_bits(q, bins):
     q=st.integers(min_value=3, max_value=20000),
     bins=st.sampled_from((1, 7, 64, 256)),
     chunk=st.sampled_from((97, _CHUNK)),
+    columns=st.sampled_from((10, 1000, stats._COLUMNS)),
 )
-def test_parked_sweep_equals_the_dropping_sweep_bit_for_bit(q, bins, chunk):
+def test_parked_sweep_equals_the_dropping_sweep_bit_for_bit(q, bins, chunk, columns):
+    # the reference runs whole chunks; the sweep runs them in column slices
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats, "_CHUNK", chunk)
+        mp.setattr(stats, "_COLUMNS", columns)
         assert _sweep_bits(q, bins) == _bits(*_dropping_sweep(q, bins))
 
 
@@ -277,6 +280,17 @@ def test_sweep_memory_does_not_grow_with_q():
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
+def test_sweep_traced_peak_is_bounded():
+    # at this q whole 2^18-column chunks peaked at 12.3 MB traced, 2^15-column slices at about 5 MB
+    tracemalloc.start()
+    try:
+        _sweep.__wrapped__(10**6 + 3, DEFAULT_BINS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
+
+
 @pytest.mark.parametrize("q, bins", sorted(FROZEN_BITS))
 def test_sweep_bits_are_frozen(q, bins):
     weights_sha, digits_sha = FROZEN_BITS[q, bins]
@@ -296,6 +310,20 @@ def test_digit_one_frequency_is_frozen(q):
         weighted,
         pooled,
     )
+
+
+@pytest.mark.parametrize("columns, chunked", [(1000, (500009, 1531530)), (4097, (1000003,))])
+def test_column_slices_keep_the_frozen_bits(columns, chunked, monkeypatch):
+    # slice sizes that do not divide the 2^18 chunk: the chunk, not the slice, groups every float sum
+    monkeypatch.setattr(stats, "_COLUMNS", columns)
+    _sweep.cache_clear()
+    try:
+        for q, bins in sorted(FROZEN_BITS):
+            test_sweep_bits_are_frozen(q, bins)
+        for q in chunked:
+            test_multi_chunk_sweeps_are_frozen(q)
+    finally:
+        _sweep.cache_clear()
 
 
 @settings(max_examples=60)
