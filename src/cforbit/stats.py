@@ -6,20 +6,18 @@ tails against the Haar reference, fundamental-domain histograms, and
 the exact no-escape-of-mass counting bound.
 
 Full sweeps never hold all phi(q) residues at once. They build the
-coprime residues per chunk of 2^18 with the block sieve of arith, run
-Euclid rounds on int32 columns below q = 2^31 (int64 above) over
-slices of 2^15 columns of each chunk, and merge the chunks in
-ascending order. So memory is bounded whatever q is (about 5 MB traced
-for a sweep, 6 MB for the mass-escape count), and results are
-deterministic down to the last bit for a given q and binning: the 2^18
-chunk, not the slice, is the unit of every float sum. They run the one
-Euclid kernel, arith._euclid_rounds, which the census oracle of zaremba
-and the excursions of lattice run too; a parked column adds exact
-zeros, so every float sum equals the one of a sweep that drops ended
-columns every round. They keep histograms only: the length statistics
-read a histogram of len(p/q), not one length per residue. Gauss-map
-points are binned exactly: the bin of B/A with nbins bins is
-(B * nbins) // A, never a float comparison.
+coprime residues per chunk of 2^15 with the block sieve of arith and
+run Euclid rounds on int32 columns below q = 2^31 (int64 above), so
+memory is bounded whatever q is (under 2 MB traced for a sweep at the
+default binning, about 5 MB for the mass-escape count). They run the
+one Euclid kernel, arith._euclid_rounds, which the census oracle of
+zaremba and the excursions of lattice run too. They keep integer
+tallies only: the length statistics read a histogram of len(p/q), not
+one length per residue, and the averaged orbit measure and its digit-1
+mass read counts of (length, bin) and (length, digit) pairs, so every
+result is an exact rational rounded once to a float, whatever the
+chunking. Gauss-map points are binned exactly: the bin of B/A with
+nbins bins is (B * nbins) // A, never a float comparison.
 
 Orbit heights and the no-escape-of-mass count are exact: each excursion
 toward the cusp, its peak, its time above a height M and the norm of its
@@ -52,8 +50,7 @@ ZETA2 = math.pi * math.pi / 6.0
 #: limit of mean_len / (2 ln q) over coprime numerators, ln 2 / zeta(2)
 LEN_RATE = LN2 / ZETA2
 
-_CHUNK = 1 << 18
-_COLUMNS = 1 << 15  # columns per Euclid run; the float sums stay per _CHUNK
+_CHUNK = 1 << 15  # residues per sieve block and per Euclid run
 
 #: smallest modulus the full sweeps (nu_bar, len_stats, dispersion, digit_one_frequency) accept
 SWEEP_Q_MIN = 3
@@ -117,9 +114,9 @@ def nu_pq(x: ReducedFraction, bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
 class _SweepData:
     phi: int
     len_counts: np.ndarray  # len_counts[n] = number of residues p with len(p/q) = n
-    hist: np.ndarray
-    digit_counts: np.ndarray
-    digit1_weighted: float
+    digit_counts: np.ndarray  # digit_counts[d] = number of digits d, DIGIT_CAP + 1 for larger ones
+    nu: np.ndarray  # the nu_bar weights
+    digit1: float  # the weighted digit-1 frequency
 
     def len_moment(self, k: int) -> int:
         """Exact sum of len(p/q)^k over the coprime residues p."""
@@ -133,6 +130,8 @@ def _residue_chunks(q: int) -> Iterator[np.ndarray]:
     _CHUNK residues: an interval of length L holds L phi(q)/q of them up
     to an error below 2^omega(q). The next block starts past the last
     residue taken. Columns are int32 when q < 2^31 and int64 above.
+    Every full-residue pass runs each chunk whole through the Euclid
+    kernel, so _CHUNK sets its working set.
     """
     m = factorize(q)
     dtype = np.int32 if q < 2**31 else np.int64
@@ -146,95 +145,94 @@ def _residue_chunks(q: int) -> Iterator[np.ndarray]:
         lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
 
 
-def _chunk_rounds(
-    q: int, chunk: np.ndarray, bins: int, len_counts: np.ndarray, digit_counts: np.ndarray
-) -> list[tuple[np.ndarray, float]]:
-    """One chunk's 1/len-weighted histogram and digit-1 mass per Euclid round, run _COLUMNS columns at a time.
+def _chunk_tallies(
+    q: int, chunk: np.ndarray, len_counts: np.ndarray, bin_tally: np.ndarray, digit_tally: np.ndarray
+) -> None:
+    """Add one chunk's lengths to len_counts and its (length, bin) and (length, digit) pairs to the tallies.
 
-    Each slice runs both Euclid passes and adds its round-k cells into the
-    round-k accumulator with np.add.at, which adds in index order as
-    bincount does; so after the last slice every bin holds the sequential
-    sum that one bincount over the whole chunk's round gives. The uint8
-    lengths of each round's digit-1 columns are kept (len <= 93 below
-    2^63, by Lame), and their weights 1/len are summed once per round at
-    the end: the same values in the same order, so the same pairwise sum,
-    as over the whole chunk. The integer tallies len_counts and
-    digit_counts are added into in place. The slices' state is freed on
-    return, before the next chunk is sieved; what stays per chunk is one
-    byte per digit 1 and rounds x bins accumulator floats (about 70 KB
-    at the default 256 bins, but more than the columns past about 2^15
-    bins).
+    The first Euclid run finds each column's length n; the second carries
+    n and counts every round of the column at row n of both tallies,
+    column (b * bins) // a of bin_tally and min(d, DIGIT_CAP + 1) of
+    digit_tally. Once a column ends its n is 0, so the rounds it stays
+    parked for (b = d = 0) land in row 0, which no live column reaches.
     """
-    bin_dtype = np.int32 if (q - 1) * bins < 2**31 else np.int64
-    hists: list[np.ndarray] = []
-    d1_lens: list[list[np.ndarray]] = []
-    for lo in range(0, chunk.size, _COLUMNS):
-        cols = chunk[lo : lo + _COLUMNS]
-        lens = np.zeros_like(cols)
-        rounds = _euclid_rounds(np.full_like(cols, q), cols, np.arange(cols.size, dtype=cols.dtype))
-        for k, (_, b, _, r, (idx,)) in enumerate(rounds, 1):
-            lens[idx[(r == 0) & (b > 0)]] = k
-        len_counts += np.bincount(lens, minlength=len_counts.size)
-        rounds = _euclid_rounds(np.full_like(cols, q), cols, 1.0 / lens, lens.astype(np.uint8))
-        for k, (a, b, d, r, (w, n)) in enumerate(rounds):
-            if k == len(hists):
-                hists.append(np.zeros(bins))
-                d1_lens.append([])
-            with np.errstate(divide="ignore"):  # a column parked for two rounds has a = 0 too
-                cell = np.multiply(b, bins, dtype=bin_dtype) // a
-            np.add.at(hists[k], cell, w)
-            digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
-            d1_lens[k].append(np.compress(d == 1, n))  # a parked column has d = 0
-            w[r == 0] = 0.0  # a parked column's weight is 0 already
-    return [(h, float((1.0 / np.concatenate(n)).sum())) for h, n in zip(hists, d1_lens)]
+    rows, bins = bin_tally.shape
+    index_dtype = np.int32 if max(q - 1, rows) * bins < 2**31 else np.int64
+    lens = np.zeros_like(chunk)
+    rounds = _euclid_rounds(np.full_like(chunk, q), chunk, np.arange(chunk.size, dtype=chunk.dtype))
+    for k, (_, b, _, r, (idx,)) in enumerate(rounds, 1):
+        lens[idx[(r == 0) & (b > 0)]] = k
+    len_counts += np.bincount(lens, minlength=rows)
+    for a, b, d, r, (n,) in _euclid_rounds(np.full_like(chunk, q), chunk, lens):
+        with np.errstate(divide="ignore"):  # a column parked for two rounds has a = 0 too
+            cell = np.multiply(b, bins, dtype=index_dtype) // a
+        cell += np.multiply(n, bins, dtype=index_dtype)
+        np.add.at(bin_tally.reshape(-1), cell, 1)
+        np.add.at(digit_tally.reshape(-1), n * (DIGIT_CAP + 2) + np.minimum(d, DIGIT_CAP + 1), 1)
+        n[r == 0] = 0
+
+
+def _weighted_means(tally: np.ndarray, phi: int) -> np.ndarray:
+    """The exact sum over n >= 1 of tally[n, j] / (n phi) for each column j, rounded once to a float.
+
+    With L = lcm(1, ..., rows - 1) each sum is the integer
+    sum_n tally[n, j] (L / n) over L phi, and Python's integer true
+    division rounds it correctly. Only the nonzero columns are summed,
+    about _CHUNK entries at a time, so the object arrays stay small
+    whatever the tally's size.
+    """
+    rows, cols = tally.shape
+    lcm = math.lcm(*range(1, rows))
+    scale = np.array([lcm // n for n in range(1, rows)], dtype=object)
+    out = np.zeros(cols)
+    step = -(-_CHUNK // rows)
+    for lo in range(0, cols, step):
+        block = tally[1:, lo : lo + step]
+        nz = np.flatnonzero(block.any(axis=0))
+        out[lo + nz] = (scale @ block[:, nz].astype(object)) / (lcm * phi)
+    return out
 
 
 @lru_cache(maxsize=16)
 def _sweep(q: int, bins: int) -> _SweepData:
-    """Two Euclid runs per slice of coprime p: lengths first, then the 1/len-weighted statistics.
+    """Integer tallies of one full sweep over the coprime p, rounded once at the end.
 
-    The residues are sieved per chunk of 2^18 (_residue_chunks), and each
-    chunk is run _COLUMNS = 2^15 columns at a time (_chunk_rounds), on
-    int32 columns below q = 2^31, so memory is bounded whatever q is
-    (about 5 MB traced at the default binning). The chunk stays the unit
-    of every float sum: its per-round histograms and digit-1 masses are
-    added in chunk order, then round order. The bin index b * bins is
-    int32 while (q - 1) * bins < 2^31 and int64 above; a (q, bins) whose
-    bin index could pass the int64 ceiling is refused up front.
+    The residues come per chunk of 2^15 (_residue_chunks), each run twice
+    through the Euclid kernel (_chunk_tallies): a column's length is
+    known only once it ends, and each of its rounds is counted against
+    that length. The int64 tallies do not depend on how the residues
+    are grouped, so nu_bar's weight of bin j, sum_n T[n, j] / (n phi),
+    and the weighted digit-1 frequency, sum_n D[n, 1] / (n phi), are
+    exact rationals, each rounded once (_weighted_means). The products
+    b * bins and n * bins are int32 while both stay below 2^31 and int64
+    above; a (q, bins) whose bin index could pass the int64 ceiling is
+    refused up front. The (length, bin) tally holds 8 (1.5 log2 q + 2) bins bytes
+    while the sweep runs (about 64 KB at the default binning at q = 10^6).
 
-    Both runs read arith._euclid_rounds, which parks ended columns. Pass
-    2 zeroes a column's weight once it ends, so a parked column adds +0.0
-    to bin 0 of each round's histogram (a sequential sum per bin, so
-    every bin keeps its bits), its digit 0 lands in a bin no live column
-    reaches, and the digit-1 mass sums the same live weights in the same
-    order as with the parked columns dropped. So every result equals, bit
-    for bit, the sweep that drops ended columns every round, over whole
-    chunks.
-
-    An entry holds histograms only (about 3 KB at the default binning),
-    so the cache can keep every (q, bins) a run revisits.
+    An entry holds the rounded weights and the integer histograms only
+    (about 3 KB at the default binning), so the cache can keep every
+    (q, bins) a run revisits.
     """
     if q < SWEEP_Q_MIN:
         raise ValueError(f"q must be >= {SWEEP_Q_MIN}")
     if (q - 1) * bins >= 2**63:
         raise ValueError(f"q={q}, bins={bins}: the bin index b * bins can reach the int64 ceiling 2^63")
     # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
-    len_counts = np.zeros(q.bit_length() * 3 // 2 + 2, dtype=np.int64)
-    hist = np.zeros(bins, dtype=np.float64)
-    digit_counts = np.zeros(DIGIT_CAP + 2, dtype=np.int64)
-    digit1_weighted = 0.0
+    rows = q.bit_length() * 3 // 2 + 2
+    len_counts = np.zeros(rows, dtype=np.int64)
+    bin_tally = np.zeros((rows, bins), dtype=np.int64)
+    digit_tally = np.zeros((rows, DIGIT_CAP + 2), dtype=np.int64)
     for chunk in _residue_chunks(q):
-        for h, mass in _chunk_rounds(q, chunk, bins, len_counts, digit_counts):
-            hist += h
-            digit1_weighted += mass
-    digit_counts[0] = 0  # the parked columns' d = 0
-    return _SweepData(int(len_counts.sum()), len_counts, hist, digit_counts, digit1_weighted)
+        _chunk_tallies(q, chunk, len_counts, bin_tally, digit_tally)
+    phi = int(len_counts.sum())
+    nu = _weighted_means(bin_tally, phi)
+    digit1 = float(_weighted_means(digit_tally[:, 1:2], phi)[0])
+    return _SweepData(phi, len_counts, digit_tally[1:].sum(axis=0), nu, digit1)
 
 
 def nu_bar(q: Union[int, Modulus], bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
     """Average of nu_pq over all residues coprime to q; total weight 1."""
-    sd = _sweep(_q_int(q), bins)
-    return EmpiricalMeasure(uniform_edges(bins), sd.hist / sd.phi)
+    return EmpiricalMeasure(uniform_edges(bins), _sweep(_q_int(q), bins).nu.copy())
 
 
 @dataclass(frozen=True)
@@ -259,7 +257,7 @@ def len_stats(q: Union[int, Modulus], bins: int = DEFAULT_BINS) -> SweepSummary:
     var = Fraction(sd.len_moment(2), sd.phi) - mean * mean
     counts = {d: int(sd.digit_counts[d]) for d in range(1, DIGIT_CAP + 1) if sd.digit_counts[d]}
     dh = DigitHistogram(DIGIT_CAP, counts, int(sd.digit_counts[DIGIT_CAP + 1]))
-    ks = ks_distance(EmpiricalMeasure(uniform_edges(bins), sd.hist / sd.phi))
+    ks = ks_distance(EmpiricalMeasure(uniform_edges(bins), sd.nu))
     return SweepSummary(qi, sd.phi, mean, var, dh, ks)
 
 
@@ -282,7 +280,7 @@ def digit_one_frequency(q: Union[int, Modulus], weighted: bool = True) -> float:
     """
     sd = _sweep(_q_int(q), DEFAULT_BINS)
     if weighted:
-        return sd.digit1_weighted / sd.phi
+        return sd.digit1
     return int(sd.digit_counts[1]) / sd.len_moment(1)
 
 
@@ -376,8 +374,8 @@ def mass_escape_count(
     it; escalations counts the margin hits per (vector, residue). The
     count is asserted against (4/M^2) phi(q), a bound proven in the range
     0 <= t <= ln q - 2 omega(q); checked=False skips that range guard.
-    The residues are taken per chunk of _residue_chunks and run _COLUMNS
-    at a time, so memory is bounded whatever q is (about 6 MB traced).
+    The residues are taken per chunk of _residue_chunks, one Euclid run
+    each, so memory is bounded whatever q is (about 5 MB traced).
     """
     qi = _q_int(q)
     if M <= 1:
@@ -403,32 +401,31 @@ def mass_escape_count(
             lhs = m * m * mpmath.exp(-t) + (mpmath.mpf(r) / qi) ** 2 * mpmath.exp(t)
             return lhs <= 1 / mpmath.mpf(M) ** 2
 
-    count = residues = 0
+    phi = euler_phi(qi)
+    count = 0
     for chunk in _residue_chunks(qi):
-        for lo in range(0, chunk.size, _COLUMNS):
-            ps = chunk[lo : lo + _COLUMNS].astype(np.int64)  # int64 like every other column of _excursions
-            hit = np.zeros(ps.size, dtype=bool)
-            for idx, qk, rk, rem in _excursions(qi, ps):
-                # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
-                # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
-                head = np.square(qk, dtype=np.float64) * emt
-                gap = head + (rk / qi) ** 2 * ept - inv_m2
-                hit[idx[gap < -tol]] = True
-                near = np.flatnonzero(np.abs(gap) <= tol)
-                escalations += near.size
-                for i in near:
-                    hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
-                # later convergents have larger q_k, so none of them can be short
-                rem[head - inv_m2 > tol] = 0
-            count += int(np.count_nonzero(hit))
-            residues += ps.size
+        ps = chunk.astype(np.int64)  # int64 like every other column of _excursions
+        hit = np.zeros(ps.size, dtype=bool)
+        for idx, qk, rk, rem in _excursions(qi, ps):
+            # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
+            # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
+            head = np.square(qk, dtype=np.float64) * emt
+            gap = head + (rk / qi) ** 2 * ept - inv_m2
+            hit[idx[gap < -tol]] = True
+            near = np.flatnonzero(np.abs(gap) <= tol)
+            escalations += near.size
+            for i in near:
+                hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
+            # later convergents have larger q_k, so none of them can be short
+            rem[head - inv_m2 > tol] = 0
+        count += int(np.count_nonzero(hit))
     # every chain ends in the vector (q, 0), short for every residue or for none
     gap = qi * qi * emt - inv_m2
     if abs(gap) <= tol:
-        escalations += residues
+        escalations += phi
     if gap < -tol or (abs(gap) <= tol and exact(qi, 0)):
-        count = residues
-    bound = Fraction(4 * euler_phi(qi)) / (Fraction(M) ** 2)
+        count = phi
+    bound = Fraction(4 * phi) / (Fraction(M) ** 2)
     if in_hyp and count > bound:
         raise MassEscapeBoundError(
             f"count {count} exceeds (4/M^2) phi = {float(bound):.3f} at q={qi}, M={M}, t={t}"

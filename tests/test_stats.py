@@ -102,7 +102,7 @@ def test_dispersion_values_and_monotonicity_in_delta():
 
 
 def test_digit_one_frequency_variants():
-    assert digit_one_frequency(1009) == 0.35798671951945754
+    assert digit_one_frequency(1009) == 0.3579867195194576
     assert digit_one_frequency(1009, weighted=False) == 0.39255285579047017
 
 
@@ -311,7 +311,7 @@ def test_mass_escape_memory_does_not_grow_with_q():
 
 
 def test_mass_escape_traced_peak_is_bounded():
-    # at this q whole 2^18-residue chunks peaked at 41.0 MB traced, 2^15-column slices at about 6 MB
+    # at this q whole 2^18-residue chunks peaked at 41.0 MB traced, 2^15-residue chunks at about 5 MB
     tracemalloc.start()
     try:
         rep = mass_escape_count(10**6 + 3, 5.0, 11.8)

@@ -1,15 +1,19 @@
 """The vectorized Euclid kernel and the sweeps built on it.
 
-The frozen values were captured from the two-loop sweep that predates the
-shared kernel; they pin the float results bit for bit, so a reordered
-float sum or a changed bin formula fails here and not only in the
-rounded CLI output.
+The integer pins (length moments, digit counts, length and digit
+histograms) were captured from the two-loop sweep that predates the
+shared kernel. The float pins are the exact rationals of the sweep
+rounded once, each checked against a scalar Fraction sum when it was
+captured; they pin the results bit for bit, so a changed bin formula or
+a sum that rounds more than once fails here and not only in the rounded
+CLI output.
 """
 import hashlib
 import math
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,43 +21,43 @@ from hypothesis import given, settings, strategies as st
 
 from cforbit import stats
 from cforbit.arith import _euclid_rounds, coprime_array, euler_phi
-from cforbit.cfe import ReducedFraction, cfe_digits, cfe_len
+from cforbit.cfe import CfeWord, ReducedFraction, cfe_digits, cfe_len, word_frequency
 from cforbit.stats import (
     _CHUNK,
     DEFAULT_BINS,
-    DIGIT_CAP,
     _sweep,
     digit_one_frequency,
     len_stats,
     mass_escape_count,
     nu_bar,
+    nu_pq,
 )
 from cforbit.zaremba import _PAIR_CHUNK, _levels, brute_force_censuses, enumerate_bounded, height_bound_check
 
 # (q, bins): sha256 of nu_bar weights, sha256 of (sorted digit counts, overflow)
 FROZEN_BITS = {
     (1009, 64): (
-        "f3252a62b84bb2eb13fa3f94b7823f3bb489daaf04ebc8653626206a1ebfa0ac",
+        "7c41c323abd6c1a313d1f7d59d6c102f4a6ac96c519f3c4b119591e54e85c72f",
         "d521d1cc1b30ec7ff7fbe5243f436840ecb86504c4284e3da44f1440c07d1f9e",
     ),
     (1009, 256): (
-        "8e34d0ddc098e15242f4b8eec3c67a4f25f006a31096e5a86932855f6cdbba41",
+        "5d591e1a19f806300df88062fb99dc3b0e4380860eb76b43b2a2ccc890bcf4df",
         "d521d1cc1b30ec7ff7fbe5243f436840ecb86504c4284e3da44f1440c07d1f9e",
     ),
     (10007, 64): (
-        "11736b1bffdddabc9c2ca05e978e8af43e569031e968c7d24e72852dfe2866f9",
+        "b24ec11fd4a5e82aad878ca61a177cc26ec4c45447071fa8793267eed8cc2196",
         "330c6024c6ca92fc4dff737b6fd499a83246fd438407f79caa721cdb2e7e60f7",
     ),
     (10007, 256): (
-        "cc544d0f062d07fa3b76785236af8bc49258e188c18bbf49856b5a33f3ade5e5",
+        "9127d224340a8fed5121cbcad8e05d1deed3be625d3ae38714e02a9300874972",
         "330c6024c6ca92fc4dff737b6fd499a83246fd438407f79caa721cdb2e7e60f7",
     ),
     (100003, 64): (
-        "595dffdd8dfb30a374953ab5c7cf3cd291a1ee447e9b3f50faa9107f9b519c47",
+        "d65f24271242015f85e66f89c597d08fb7af3a373da636f57b26d95de8f7513b",
         "1225a871acd1a90f85f2c6d40ab4bfa9df534ba69e0567ed7892975537451ad9",
     ),
     (100003, 256): (
-        "1e5e863484ec35cbaa8a6daf68a25fe1ce6773d5974e93fb4a2665ec4345bde4",
+        "496cb471a0d789790eeeb3947aa839bd3225a8b3b7ea2919202732b308a86400",
         "1225a871acd1a90f85f2c6d40ab4bfa9df534ba69e0567ed7892975537451ad9",
     ),
 }
@@ -67,34 +71,34 @@ FROZEN_MOMENTS = {
 
 # q: (weighted, unweighted) digit-1 frequency at the default binning
 FROZEN_DIGIT_ONE = {
-    1009: ("0.35798671951945754", "0.39255285579047017"),
+    1009: ("0.3579867195194576", "0.39255285579047017"),
     10007: ("0.3740820403972513", "0.3993224619643746"),
-    100003: ("0.3819943946110627", "0.4029540075846141"),
+    100003: ("0.38199439461106255", "0.4029540075846141"),
 }
 
 
-# q: sha256 of hist, len_counts and digit_counts, repr of digit1_weighted, at the
-# default binning, captured from the sweep that sliced one whole coprime_array
-# into chunks; these moduli span several chunks, so the chunk boundaries are
-# pinned too (1531530 = 2*3^2*5*7*11*13*17 ends in a partial chunk)
+# q: sha256 of nu_bar weights, len_counts and digit_counts, repr of the weighted
+# digit-1 frequency, at the default binning; the integer digests were captured
+# from the sweep that sliced one whole coprime_array into chunks. These moduli
+# span many chunks (1531530 = 2*3^2*5*7*11*13*17 ends in a partial chunk)
 FROZEN_CHUNKED = {
     500009: (
-        "d3aab856c7da5670996a54702044d885bc13e60e59f0eba6bc218bf7a8c760a1",
+        "cc40cbc6962694873c57095109a594dd4d738aa1f8dafac6847f9d734528ca34",
         "172492172c2055db45a4bcbbbff99ffd4c0d377b43592298304cbde3a6ff163b",
         "cbfcc9e6dbfbf174a68165087e22e073f159e3b9b9560bfdfbe9a5e6539aeba3",
-        "193048.36757535604",
+        "0.3860905577017889",
     ),
     1000003: (
-        "0b589f623955796c1d304126b5e2ab9f3a28d728277cb9a528f7722388e9149f",
+        "d018619246abbfdfdf2a12c3a0bee481e0e5a7adc9aa0e09568fd93bacf518f4",
         "7f7135269874f95f9c869f430dd209f896116154b18a1f8db1bde672340e57ba",
         "e49acd0420da2018effddeb6ccd6c1ee2523bb5bbda912d2af117e0beac9d6b5",
-        "387256.21398474113",
+        "0.3872554394738624",
     ),
     1531530: (
-        "1d42c200d293e4995c10e19d29b5568350e2a84ccf42de4c61c20c35765d8f23",
+        "8c598029632a4fd77f44ee7d952e16cada5695c63ccee7d07ed3d19de86a0715",
         "3149b584ef89e2482327f19ab5319deee98de0f8b62f46170d02a8559a246911",
         "0709de075de4e521947c366c4ab369d613cd4631ebeb36a18ae88639aa7609e0",
-        "107387.5311381134",
+        "0.3884097625076439",
     ),
 }
 
@@ -104,9 +108,9 @@ def test_multi_chunk_sweeps_are_frozen(q):
     sd = _sweep(q, DEFAULT_BINS)
     assert sd.phi == euler_phi(q) > _CHUNK
     digests = tuple(
-        hashlib.sha256(a.tobytes()).hexdigest() for a in (sd.hist, sd.len_counts, sd.digit_counts)
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (sd.nu, sd.len_counts, sd.digit_counts)
     )
-    assert (*digests, repr(sd.digit1_weighted)) == FROZEN_CHUNKED[q]
+    assert (*digests, repr(sd.digit1)) == FROZEN_CHUNKED[q]
 
 
 # multiples of a product of distinct small primes, so omega(q) reaches 6 (30030 * k)
@@ -161,53 +165,22 @@ def _dropping_rounds(a, b, carry):
         a, b, carry = b[keep], r[keep], carry[keep]
 
 
-def _dropping_sweep(q, bins):
-    """The reference: the sweep that drops ended columns every round, through its own rounds.
-
-    Same chunks, same int64 bin index and same float sums per round as
-    the parked sweep must reproduce, with no parked column ever present.
-    """
-    len_counts = np.zeros(q.bit_length() * 3 // 2 + 2, dtype=np.int64)
-    hist = np.zeros(bins, dtype=np.float64)
-    digit_counts = np.zeros(DIGIT_CAP + 2, dtype=np.int64)
-    digit1_weighted = 0.0
-    for chunk in stats._residue_chunks(q):
-        qs = np.full(chunk.size, q, dtype=chunk.dtype)
-        lens = np.zeros_like(chunk)
-        rounds = _dropping_rounds(qs, chunk, np.arange(chunk.size, dtype=chunk.dtype))
-        for k, (_, _, _, r, idx) in enumerate(rounds, 1):
-            lens[idx[r == 0]] = k
-        len_counts += np.bincount(lens, minlength=len_counts.size)
-        for a, b, d, _, w in _dropping_rounds(qs, chunk, 1.0 / lens):
-            hist += np.bincount(np.multiply(b, bins, dtype=np.int64) // a, weights=w, minlength=bins)
-            digit_counts += np.bincount(np.minimum(d, DIGIT_CAP + 1), minlength=DIGIT_CAP + 2)
-            digit1_weighted += float(w[d == 1].sum())
-    return hist, len_counts, digit_counts, digit1_weighted
-
-
-def _bits(hist, len_counts, digit_counts, digit1_weighted):
-    arrays = (hist, len_counts, digit_counts)
-    return (*((a.dtype.str, a.tobytes()) for a in arrays), repr(digit1_weighted))
-
-
 def _sweep_bits(q, bins):
     sd = _sweep.__wrapped__(q, bins)
-    return _bits(sd.hist, sd.len_counts, sd.digit_counts, sd.digit1_weighted)
+    arrays = (sd.nu, sd.len_counts, sd.digit_counts)
+    return (*((a.dtype.str, a.tobytes()) for a in arrays), repr(sd.digit1))
 
 
-@settings(max_examples=60)
-@given(
-    q=st.integers(min_value=3, max_value=20000),
-    bins=st.sampled_from((1, 7, 64, 256)),
-    chunk=st.sampled_from((97, _CHUNK)),
-    columns=st.sampled_from((10, 1000, stats._COLUMNS)),
-)
-def test_parked_sweep_equals_the_dropping_sweep_bit_for_bit(q, bins, chunk, columns):
-    # the reference runs whole chunks; the sweep runs them in column slices
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_CHUNK", chunk)
-        mp.setattr(stats, "_COLUMNS", columns)
-        assert _sweep_bits(q, bins) == _bits(*_dropping_sweep(q, bins))
+@settings(max_examples=20, deadline=None)
+@given(q=st.integers(min_value=3, max_value=2000), bins=st.sampled_from((1, 7, 64, 256)))
+def test_sweep_does_not_depend_on_the_chunk(q, bins):
+    # integer tallies, rounded once: any grouping of the residues gives the same bits
+    bits = []
+    for chunk in (1, 97, 2**15):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_CHUNK", chunk)
+            bits.append(_sweep_bits(q, bins))
+    assert bits[0] == bits[1] == bits[2]
 
 
 # one chunk each; (q - 1) * 2^18 passes 2^31, so the last case takes the int64 bin index
@@ -215,11 +188,28 @@ def test_parked_sweep_equals_the_dropping_sweep_bit_for_bit(q, bins, chunk, colu
 def test_int64_columns_give_the_int32_bits(q, bins, monkeypatch):
     assert euler_phi(q) <= _CHUNK
     want = _sweep_bits(q, bins)
-    assert want == _bits(*_dropping_sweep(q, bins))
     sieve = stats._residue_chunks
     monkeypatch.setattr(stats, "_residue_chunks", lambda q: (c.astype(np.int64) for c in sieve(q)))
     assert next(stats._residue_chunks(q)).dtype == np.int64
     assert _sweep_bits(q, bins) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.integers(min_value=3, max_value=2000), bins=st.sampled_from((1, 7, 64)))
+def test_sweep_rounds_the_exact_rationals_once(q, bins):
+    ps = [p for p in range(1, q) if math.gcd(p, q) == 1]
+    fractions = [ReducedFraction(p, q) for p in ps]
+    total = sum((nu_pq(x, bins).weights for x in fractions), np.zeros(bins, dtype=object))
+    want = [float(Fraction(w) / len(ps)) for w in total]
+    assert nu_bar(q, bins).weights.tolist() == want
+    ones = sum((word_frequency(x, CfeWord((1,))) for x in fractions), Fraction(0))
+    assert digit_one_frequency(q) == float(ones / len(ps))
+
+
+@pytest.mark.parametrize("q", (1531, 10007, 100003))
+def test_one_bin_holds_exactly_the_unit_mass(q):
+    # float sums per round read 0.9999999999999921 at 1531 and 1.0000000000003748 at 100003
+    assert nu_bar(q, 1).weights.tolist() == [1.0]
 
 
 def test_parked_division_warns_nothing_and_restores_the_error_state():
@@ -268,27 +258,32 @@ def test_sweep_refuses_bin_indices_past_the_int64_ceiling():
         len_stats(2**55 + 1)  # (q - 1) * 256 is exactly 2^63
 
 
+def _traced_sweep_peak(q, bins):
+    tracemalloc.start()
+    try:
+        _sweep.__wrapped__(q, bins)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweep_memory_does_not_grow_with_q():
-    peaks = []
-    for q in (1000003, 3145729):  # 4 and 12 chunks
-        tracemalloc.start()
-        try:
-            _sweep.__wrapped__(q, DEFAULT_BINS)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_sweep_peak(q, DEFAULT_BINS) for q in (1000003, 3145729)]  # 31 and 96 chunks
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_sweep_traced_peak_is_bounded():
-    # at this q whole 2^18-column chunks peaked at 12.3 MB traced, 2^15-column slices at about 5 MB
-    tracemalloc.start()
-    try:
-        _sweep.__wrapped__(10**6 + 3, DEFAULT_BINS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20, peak
+    # at this q whole 2^18-column chunks peaked at 12.3 MiB traced, 2^15-column slices
+    # of them with per-round float sums at 5.05 MiB, integer tallies at about 1.4 MiB
+    peak = _traced_sweep_peak(10**6 + 3, DEFAULT_BINS)
+    assert peak <= 4 * 2**20, peak
+
+
+def test_wide_binning_sweep_traced_peak_is_bounded():
+    # the (length, bin) tally alone takes 32 x 2^16 int64, 16 MiB, so the rounding
+    # must not hold an object array of its size; the per-round float sums peaked at 18.0 MiB
+    peak = _traced_sweep_peak(10**6 + 3, 2**16)
+    assert peak <= 24 * 2**20, peak
 
 
 @pytest.mark.parametrize("q, bins", sorted(FROZEN_BITS))
@@ -310,20 +305,6 @@ def test_digit_one_frequency_is_frozen(q):
         weighted,
         pooled,
     )
-
-
-@pytest.mark.parametrize("columns, chunked", [(1000, (500009, 1531530)), (4097, (1000003,))])
-def test_column_slices_keep_the_frozen_bits(columns, chunked, monkeypatch):
-    # slice sizes that do not divide the 2^18 chunk: the chunk, not the slice, groups every float sum
-    monkeypatch.setattr(stats, "_COLUMNS", columns)
-    _sweep.cache_clear()
-    try:
-        for q, bins in sorted(FROZEN_BITS):
-            test_sweep_bits_are_frozen(q, bins)
-        for q in chunked:
-            test_multi_chunk_sweeps_are_frozen(q)
-    finally:
-        _sweep.cache_clear()
 
 
 @settings(max_examples=60)
