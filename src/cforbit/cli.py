@@ -10,6 +10,7 @@ in docs/cli.md.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -151,8 +152,8 @@ class ExperimentConfig:
     M: Optional[tuple[float, ...]] = _param(
         _cast_float_list,
         "height threshold(s), comma separated",
-        lambda v: all(x >= 1 for x in v),
-        "every M must be >= 1",
+        lambda v: all(x > 1 for x in v),
+        "every M must be > 1",
     )
     t: Optional[float] = _param(_cast_float, "flow time", lambda v: v >= 0, "t must be >= 0")
     t_max: Optional[float] = _param(
@@ -293,8 +294,12 @@ def emit(blocks: Iterable[OutputBlock], config: ExperimentConfig, stream: TextIO
     row, fixed column order. JSON: a meta object line, then one object per
     row. A block is written at once: _column_text turns each column into
     text, and a row's cells are joined (CSV) or fill a %-template (JSON).
-    Histogram payloads appear in JSON only.
+    Histogram payloads appear in JSON only. The first block is taken
+    before the preamble is written, so a run that fails before it
+    writes nothing.
     """
+    blocks = iter(blocks)
+    first = next(blocks, None)
     sub = _SUBCOMMANDS[config.subcommand]
     echo = config.echo()
     if config.format == "csv":
@@ -322,7 +327,7 @@ def emit(blocks: Iterable[OutputBlock], config: ExperimentConfig, stream: TextIO
             tail = "" if histogram is None else ',"histogram":' + _json_value(histogram).replace("%", "%%")
             return f'{{"record":"row"{keys}{tail}}}'.__mod__
     n = 0
-    for columns, histogram in blocks:
+    for columns, histogram in itertools.chain(() if first is None else (first,), blocks):
         texts = [_column_text(c, cells, by_type, fallback) for c, cells in zip(sub.columns, columns)]
         rows = len(columns[0])
         if rows:

@@ -377,14 +377,18 @@ def orbit_samples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Arrays (t, height, fd_x, fd_y) along the orbit grid t = 0, dt, ..., t_max.
 
-    t_max defaults to the lifespan 2 ln q. The grid goes through _fd_points
-    in one pass; height is sqrt(fd_y). Raises ValueError naming the first t
-    whose point is not finite in float64.
+    t_max defaults to the lifespan 2 ln q. The grid up to 2 ln q goes
+    through _fd_points in one pass. Past it the lattice is spanned by
+    q (e^{-t/2}, 0) and (s e^{-t/2}, e^{t/2}/q), s = p^{-1} mod q, so its
+    point is s/q less its nearest integer, at height e^t/q^2 > 1, with the
+    tie rules of _fd_points. height is sqrt(fd_y). Raises ValueError naming
+    the first t whose point is not finite in float64.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    life = 2.0 * math.log(x.q)
     if t_max is None:
-        t_max = 2.0 * math.log(x.q)
+        t_max = life
     n = int(math.ceil(t_max / dt))
     t = np.minimum(np.arange(n + 1) * dt, t_max)
     fd_x, fd_y = np.full(t.size, np.nan), np.full(t.size, np.nan)
@@ -393,7 +397,13 @@ def orbit_samples(
         # once e^t overflows, so do the squared rows in _fd_points, which may
         # then raise; those grid points stay nan and count as not finite below
         ok = np.isfinite(e * e)
-        fd_x[ok], fd_y[ok] = _fd_points(1.0 / e[ok], (x.p / x.q) * e[ok], 0.0, e[ok])
+        grid, late = ok & (t <= life), ok & (t > life)
+        fd_x[grid], fd_y[grid] = _fd_points(1.0 / e[grid], (x.p / x.q) * e[grid], 0.0, e[grid])
+        if late.any():  # then q < e^{t/2}, so q^2 is a finite float
+            s = pow(x.p, -1, x.q)
+            fx = (s - (2 * s + x.q) // (2 * x.q) * x.q) / x.q  # a tie s/q = 1/2 goes to -1/2
+            fd_y[late] = np.exp(t[late]) / x.q**2
+            fd_x[late] = np.where((fx > 0) & (fx * fx + fd_y[late] ** 2 <= 1.0 + 1e-15), -fx, fx)
     bad = ~(np.isfinite(fd_x) & np.isfinite(fd_y))
     if bad.any():
         raise ValueError(f"the orbit of {x} leaves the float range at t={t[bad][0]:.12g}")

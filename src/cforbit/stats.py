@@ -215,6 +215,8 @@ def _sweep(q: int, bins: int) -> _SweepData:
     """
     if q < SWEEP_Q_MIN:
         raise ValueError(f"q must be >= {SWEEP_Q_MIN}")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     if (q - 1) * bins >= 2**63:
         raise ValueError(f"q={q}, bins={bins}: the bin index b * bins can reach the int64 ceiling 2^63")
     # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
@@ -311,6 +313,8 @@ def _residue_sample(q: int, sample_size: int, seed: int) -> np.ndarray:
     read off the sieve chunks of _residue_chunks, so only the chunks
     are ever held.
     """
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if sample_size < 1:
         raise ValueError("sample-size must be >= 1")
     phi = euler_phi(q)
@@ -378,6 +382,8 @@ def mass_escape_count(
     each, so memory is bounded whatever q is (about 5 MB traced).
     """
     qi = _q_int(q)
+    if qi < 2:
+        raise ValueError("q must be >= 2")
     if M <= 1:
         raise ValueError("M must be > 1")
     if not math.isfinite(t):

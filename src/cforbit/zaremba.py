@@ -30,9 +30,10 @@ coprime pairs, and from q = 2^c on every q is a block of its own. One
 _levels run over the block's pairs and one _excursions run over its
 members serve every q of it, and the last few blocks are cached, so an
 ascending loop over q pays one kernel run per block. A single call pays
-for its whole block: a members call at q < 4096 on a cold cache takes
-0.6-0.9 ms against 0.15-0.4 ms for q alone (10th to 90th percentile over
-150 random q, best of 7 calls, 2 cores). A block of one q is not kept.
+for its whole block: on a cold cache at q < 4096, a members call takes
+0.6-0.9 ms against 0.15-0.4 ms for q alone, and a height_bound_check
+call 0.6-1.0 ms against 0.3-0.7 ms (10th to 90th percentile over 150
+random q, best of 7 calls, 2 cores). A block of one q is not kept.
 """
 from __future__ import annotations
 
@@ -61,13 +62,9 @@ _BLOCK = 1 << 16
 # rows read per slice of a tally: whole-tally index lists cost MBs at large Q
 _ROW_BLOCK = 1 << 12
 
-#: largest q that height_bound_check takes
+#: largest q that height_bound_check takes: a block of one q sends all
+#: phi(q) coprime pairs through _levels at once
 HEIGHT_Q_MAX = 10**6
-
-# q_k <= q < 2^_KEY_BITS for every q height_bound_check takes, so a key
-# (q_k r_k) 2^_KEY_BITS + q_k orders convergents by q_k r_k, then by q_k
-_KEY_BITS = 20
-_NO_KEY = np.iinfo(np.int64).max
 
 
 class _Tally(Mapping[int, int]):
@@ -192,18 +189,13 @@ def enumerate_bounded(Q: int, K: int) -> ZarembaCensus:
         raise ValueError("K must be >= 1")
     if Q < 2:
         raise ValueError("Q must be >= 2")
-    first = range(1, min(K + 1, Q) + 1)
     dtype = np.int32 if 3 * Q < 2**31 else np.int64
     # strict takes the final digits 2..K and last the final digit K + 1;
     # their sum is the relaxed tally
     strict = np.zeros(Q + 1, dtype=np.int64)
     last = np.zeros(Q + 1, dtype=np.int64)
-    # the empty word (q_{-1}, q_0) = (0, 1) closes with a lone digit a at q = a
-    for a in first:
-        if 2 <= a <= Q:
-            (strict if a <= K else last)[a] += 1
-    kids = [a for a in first if a <= K and 2 * a + 1 <= Q]
-    stack = [(np.ones(len(kids), dtype=dtype), np.array(kids, dtype=dtype))] if kids else []
+    # the walk starts at the empty word (q_{-1}, q_0) = (0, 1)
+    stack = [(np.zeros(1, dtype=dtype), np.ones(1, dtype=dtype))]
     while stack:
         parts, size = [], 0
         while stack and size < _BLOCK:
@@ -267,35 +259,27 @@ def _coprime_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _block_span(q: int) -> tuple[int, int]:
-    """The aligned block [lo, hi) of consecutive denominators that q is served from.
-
-    q in [2^j, 2^{j+1}) lies in the block of width 2^min(j, max(0, c - j)),
-    c = floor(log2 _PAIR_CHUNK), which holds about _PAIR_CHUNK coprime
-    pairs; from q = 2^c on, q is a block of its own.
-    """
+    """The aligned block [lo, hi) of consecutive denominators that q is served from (see the module docstring)."""
     j = q.bit_length() - 1
     width = 1 << min(j, max(0, _PAIR_CHUNK.bit_length() - 1 - j))
     lo = q - q % width
     return lo, lo + width
 
 
-def _peaks(q: np.ndarray, p: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The highest orbit peak over the members p of each denominator, from one _excursions run.
+def _peaks(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each p[j]/q[j]'s least q_k r_k over its convergents, and the first q_k that attains it, from one _excursions run.
 
-    key[j] is the least (q_k r_k) 2^_KEY_BITS + q_k over the convergents
-    of p[j]/q[j]: its orbit's highest peak, the earliest on a tie. For
-    the i-th denominator, divmod(peak[i], p.size) is the least q_k r_k
-    over its members and the smallest j that attains it, which is the
-    tie rule of height_bound_check; peak[i] means nothing when the
-    denominator has no members.
+    The least q_k r_k is the orbit's highest peak, and q_k grows from one
+    convergent to the next, so the first q_k is the earliest peak on a
+    tie. q_k r_k < q for every convergent, so q is above every product.
     """
-    n = p.size
-    key = np.full(n, _NO_KEY)
+    prod, at = q.copy(), np.zeros_like(q)
     for idx, qk, rk, _ in _excursions(q, p):
-        key[idx] = np.minimum(key[idx], ((qk * rk) << _KEY_BITS) + qk)
-    # (q_k r_k) n + j orders as (q_k r_k, j); the sentinel closes the last segment
-    order = np.append((key >> _KEY_BITS) * n + np.arange(n), _NO_KEY)
-    return np.minimum.reduceat(order, starts[:-1]), key
+        qr = qk * rk
+        lower = qr < prod[idx]
+        i = idx[lower]
+        prod[i], at[i] = qr[lower], qk[lower]
+    return prod, at
 
 
 class _Block(NamedTuple):
@@ -303,7 +287,7 @@ class _Block(NamedTuple):
 
     The relaxed members of q = lo + i are ps[starts[i] : starts[i + 1]],
     ascending, and strict flags the ones whose strict level is at most K
-    too. peak and key (see _peaks) are None in a block built for members
+    too. prod and qk (see _peaks) are None in a block built for members
     alone.
     """
 
@@ -311,8 +295,8 @@ class _Block(NamedTuple):
     starts: np.ndarray
     ps: np.ndarray
     strict: np.ndarray
-    peak: Optional[np.ndarray]
-    key: Optional[np.ndarray]
+    prod: Optional[np.ndarray]
+    qk: Optional[np.ndarray]
 
 
 def _build_block(lo: int, hi: int, K: int, peaks: bool = True) -> _Block:
@@ -323,7 +307,7 @@ def _build_block(lo: int, hi: int, K: int, peaks: bool = True) -> _Block:
     keep = np.flatnonzero(relaxed <= K)
     q, p = q[keep], p[keep]
     starts = np.searchsorted(q, np.arange(lo, hi + 1))
-    return _Block(lo, starts, p, strict[keep] <= K, *(_peaks(q, p, starts) if peaks else (None, None)))
+    return _Block(lo, starts, p, strict[keep] <= K, *(_peaks(q, p) if peaks else (None, None)))
 
 
 @functools.lru_cache(maxsize=4)  # ascending loops over q need one entry
@@ -348,13 +332,7 @@ def members(q: int, K: int, strict: bool = False) -> np.ndarray:
     """Residues of q whose relaxed (or strict) level is at most K; chains end at a digit past K.
 
     The residues are read off the block of consecutive q that q lies in
-    (_block_span): one Euclid-kernel run over the block's coprime pairs,
-    about _PAIR_CHUNK of them, kept in a small cache, so a loop over
-    consecutive q pays one run per block. A single call pays for its
-    whole block: 0.6-0.9 ms against 0.15-0.4 ms for q < 4096 alone, on
-    2 cores. From q = 2^floor(log2 _PAIR_CHUNK) on, q is a block of its
-    own, as costly as before, and nothing is kept. The array returned
-    is the caller's own.
+    (see the module docstring). The array returned is the caller's own.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -432,10 +410,9 @@ def height_bound_check(q: int, K: int) -> HeightBoundReport:
     ln(q q_k / r_k) for each convergent (see lattice._excursions), so
     the maximum over the members is the least q_k r_k; ties go to the
     smallest p, then the earliest time. It is read off the block of
-    consecutive q that members serves q from, whose one _excursions run
-    covers every member of the block; a single call of q < 4096 pays
-    for its whole block, 0.6-1.0 ms against 0.3-0.7 ms for q alone on
-    2 cores. A maximum above sqrt(2)*(K+1)^{3/2} raises
+    consecutive q that members serves q from (see the module docstring).
+    q is capped at HEIGHT_Q_MAX, since a block of one q runs all phi(q)
+    coprime pairs at once. A maximum above sqrt(2)*(K+1)^{3/2} raises
     with the witness (p, t, ht); otherwise the report carries it.
     """
     if not 2 <= q <= HEIGHT_Q_MAX:
@@ -449,20 +426,16 @@ def height_bound_check(q: int, K: int) -> HeightBoundReport:
     if math.isinf(bound):
         raise ValueError(f"K={K}: the height bound sqrt(2)*(K+1)^(3/2) is not a finite float")
     block = _block(q, K, peaks=True)
-    i = q - block.lo
-    checked = int(block.starts[i + 1] - block.starts[i])
-    if not checked:
+    start, stop = block.starts.item(q - block.lo), block.starts.item(q - block.lo + 1)
+    if start == stop:
         return HeightBoundReport(q, K, bound, 0, 0.0, 0.0, 0)
-    prod, at = divmod(int(block.peak[i]), block.ps.size)
-    qk = int(block.key[at]) & ((1 << _KEY_BITS) - 1)
-    rk = prod // qk
+    at = start + block.prod[start:stop].argmin().item()  # the first least product, so the smallest p
+    prod, qk, best_p = block.prod.item(at), block.qk.item(at), block.ps.item(at)
     best = math.sqrt(q / (2.0 * prod))
-    best_t = math.log(q * qk / rk)
-    best_p = int(block.ps[at])
+    best_t = math.log(q * qk / (prod // qk))
     if best > bound:
         raise HeightBoundError(
             f"p={best_p}, t={best_t:.6f}, ht={best:.6f} exceeds "
             f"bound {bound:.6f} at K={K}, q={q}"
         )
-    return HeightBoundReport(q, K, bound, checked, best, best_t, best_p)
-
+    return HeightBoundReport(q, K, bound, stop - start, best, best_t, best_p)

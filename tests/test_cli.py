@@ -152,15 +152,22 @@ def test_orbit_rows_cover_the_lifespan():
 
 @pytest.mark.parametrize("t_max", ["400", "1500"])
 def test_orbit_past_the_float_range_is_one_config_error(t_max, capsys, tmp_path):
+    # rows past 2 ln 3 are closed-form, so t-max 400 runs; only e^t overflowing (t = 709.8) is refused
     target = tmp_path / "out.csv"
     argv = ["orbit", "--p", "1", "--q", "3", "--dt", "0.1", "--t-max", t_max, "--threads", "1"]
-    assert main([*argv, "--output", str(target)]) == 1
+    code = main([*argv, "--output", str(target)])
     out, err = capsys.readouterr()
     assert out == ""
-    assert json.loads(err) == {
-        "error": "config", "message": "the orbit of 1/3 leaves the float range at t=374.8"
-    }
-    assert list(tmp_path.iterdir()) == []
+    if t_max == "400":
+        assert code == 0
+        _, rows = read_rows(target.read_text())
+        assert rows[-1]["t"] == 400 and rows[-1]["fd_y"] == pytest.approx(math.exp(400) / 9, rel=1e-11)
+    else:
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "config", "message": "the orbit of 1/3 leaves the float range at t=709.8"
+        }
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_mass_escape_rows():
@@ -284,6 +291,42 @@ def test_zaremba_height_checks_the_ceiling_before_any_output(capsys, tmp_path):
     with pytest.raises(ConfigError):
         capture(["zaremba-height", "--q", f"{zaremba.HEIGHT_Q_MAX + 1}", "--K", "2", "--threads", "1"])
     assert capture(["zaremba-height", "--q", f"{zaremba.HEIGHT_Q_MAX}", "--K", "2", "--threads", "1"]).q == (zaremba.HEIGHT_Q_MAX,)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cfe", "--p", "2", "--q", "5,7"],
+        ["orbit", "--p", "2", "--q", "5,7"],
+        ["fd-hist", "--q", "5,7"],
+        ["cfe", "--p", "2", "--q", "4"],
+        ["cfe", "--p", "5", "--q", "5"],
+        ["cross-section", "--p", "1", "--q", "5"],
+        ["mass-escape", "--q", "101", "--M", "1", "--t", "1"],
+        ["mass-escape", "--q", "101", "--M", "3", "--t", "9"],
+        ["mass-escape", "--q", "101", "--M", "3,1", "--t", "1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_run_that_fails_before_its_first_row_writes_nothing(argv, capsys):
+    assert main([*argv, "--threads", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "config"
+
+
+def test_a_run_without_rows_still_writes_its_header(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["kappa"]
+
+    def empty(cfg):
+        return
+        yield
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=empty))
+    assert main(["kappa", "--threads", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("# cforbit ") and out[3:] == ["kappa,target,abs_err"]
 
 
 def test_zaremba_height_takes_no_time_step(capsys, tmp_path):

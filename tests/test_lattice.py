@@ -258,14 +258,37 @@ def test_orbit_samples_match_the_exact_orbit():
             assert py == pytest.approx(gy, rel=1e-8)
 
 
+@pytest.mark.parametrize("p, q", [(1, 3), (7, 19), (2, 5), (5, 8), (3571, 10007)])
+def test_orbit_rows_past_the_lifespan_are_exact(p, q):
+    # 400 digits resolve the reduction out to t = 374.7, where e^{t/2} ~ 10^81
+    life = 2 * math.log(q)
+    for t_max in (life + 1e-9, life + 0.7, 40.0, 120.3, 374.7):
+        t, ht, fx, fy = orbit_samples(ReducedFraction(p, q), 1.0, t_max)
+        gx, gy = exact_fd_point(p, q, float(t[-1]), dps=400)
+        assert fx[-1] == pytest.approx(gx, abs=1e-12)
+        assert fy[-1] == pytest.approx(gy, rel=1e-12)
+        assert ht[-1] == math.sqrt(fy[-1])
+
+
+def test_orbit_rows_past_the_lifespan_keep_the_tie_rule():
+    # 1/2: s/q = 1/2 lies on both sides of the domain, and x = 1/2 goes to -1/2
+    t, _, fx, fy = orbit_samples(ReducedFraction(1, 2), 0.5, 5.0)
+    late = t > 2 * math.log(2)
+    assert late.sum() == 8 and (fx[late] == -0.5).all() and (fy[late] > 1).all()
+
+
 @pytest.mark.parametrize("t_max", [400.0, 1500.0])
 def test_orbit_samples_refuse_points_past_the_float_range(t_max):
-    # at 1/3 the float point first overflows at t = 374.8; e^t itself overflows past t = 709.8
+    # rows past 2 ln 3 are closed-form, so at 1/3 only e^t itself overflows, first at t = 709.8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"leaves the float range at t=374\.8$"):
-            orbit_samples(ReducedFraction(1, 3), 0.1, t_max)
-    t, _, _, fy = orbit_samples(ReducedFraction(1, 3), 0.1, 374.7)
+        if t_max < 709.7:
+            _, _, _, fy = orbit_samples(ReducedFraction(1, 3), 0.1, t_max)
+            assert np.isfinite(fy).all() and fy[-1] == pytest.approx(math.exp(t_max) / 9, rel=1e-12)
+        else:
+            with pytest.raises(ValueError, match=r"leaves the float range at t=709\.8$"):
+                orbit_samples(ReducedFraction(1, 3), 0.1, t_max)
+    t, _, _, fy = orbit_samples(ReducedFraction(1, 3), 0.1, 709.7)
     assert np.isfinite(fy).all()
 
 

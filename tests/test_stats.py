@@ -432,5 +432,29 @@ def test_averaged_height_tail_rejects_an_empty_sample():
         averaged_height_tail(1009, 2.0, sample_size=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: averaged_height_tail(q, 2.0),
+        lambda q: orbit_fd_histogram(q),
+        lambda q: mass_escape_count(q, 2.0, 0.0, checked=False),
+    ],
+    ids=["averaged_height_tail", "orbit_fd_histogram", "mass_escape_count"],
+)
+def test_residue_passes_reject_a_modulus_without_residues(call):
+    # phi(1) = 1, but 1 has no residue p with 1 <= p < q to read
+    for q in (1, 0, -5):
+        with pytest.raises(ValueError, match="q must be >= 2"):
+            call(q)
+    call(2)
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_sweeps_reject_an_empty_binning(bins):
+    for reader in (nu_bar, len_stats):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            reader(1009, bins)
+
+
 def test_len_rate_constant_identity():
     assert LEN_RATE == pytest.approx(2 * math.log(2) * 3 / math.pi**2, abs=1e-15)
