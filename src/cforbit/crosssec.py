@@ -7,24 +7,21 @@ crosses from. The return map acts as the Gauss map on y, so rational
 orbits reach the section finitely many times and the y-itinerary is
 the continued-fraction orbit of the first y.
 
-Exact mode keeps (y, z) as Fractions; crossing times are the only
-floats.
+Section points are exact: y and z are Fractions, and a point refuses a
+coordinate of any other type. Crossing times are the only floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .cfe import ReducedFraction
-from .lattice import _FD_CHUNK, _fd_rounds
+from .lattice import _FD_CHUNK, _fd_words
 
-Coord = Union[Fraction, float]
-
-_FLOAT_DOMAIN_TOL = 1e-12
 #: largest modulus the numeric detector accepts (see detect_events_numeric)
 _DETECT_Q_MAX = 10**7
 
@@ -39,26 +36,18 @@ class SectionDomainError(RuntimeError):
 
 @dataclass(frozen=True)
 class CrossSectionPoint:
-    y: Coord
-    z: Coord
+    y: Fraction
+    z: Fraction
     eps: int
 
     def __post_init__(self) -> None:
         if self.eps not in (-1, 1):
             raise ValueError("eps must be +1 or -1")
         y, z = self.y, self.z
-        exact = isinstance(y, Fraction) and isinstance(z, Fraction)
-        if exact:
-            ok = 0 < y < 1 and 0 < z and z * (1 + y) <= 1
-        else:
-            yf, zf = float(y), float(z)
-            ok = 0 < yf < 1 and 0 < zf and zf * (1 + yf) <= 1 + _FLOAT_DOMAIN_TOL
-        if not ok:
+        if not (isinstance(y, Fraction) and isinstance(z, Fraction)):
+            raise TypeError(f"section coordinates must be Fractions, not ({y!r}, {z!r})")
+        if not (0 < y < 1 and 0 < z and z * (1 + y) <= 1):
             raise ValueError(f"({y}, {z}) outside the section domain")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.y, Fraction) and isinstance(self.z, Fraction)
 
 
 @dataclass(frozen=True)
@@ -67,10 +56,8 @@ class CrossingRecord:
     t: float
 
 
-def _log(v: Coord) -> float:
-    if isinstance(v, Fraction):
-        return math.log(v.numerator) - math.log(v.denominator)
-    return math.log(v)
+def _log(v: Fraction) -> float:
+    return math.log(v.numerator) - math.log(v.denominator)
 
 
 def _s(pt: CrossSectionPoint) -> float:
@@ -97,21 +84,12 @@ def first_crossing(x: ReducedFraction) -> CrossSectionPoint:
 def return_map(pt: CrossSectionPoint) -> Optional[CrossSectionPoint]:
     """One section return: (y, z, eps) -> (T(y), y(1 - yz), -eps); None once T(y) = 0."""
     y, z = pt.y, pt.z
-    if isinstance(y, Fraction):
-        a, b = y.numerator, y.denominator
-        if a == 1:
-            return None
-        y2: Coord = Fraction(b % a, a)
-    else:
-        f = 1.0 / y
-        y2 = f - math.floor(f)
-        if y2 == 0.0:
-            return None
+    a, b = y.numerator, y.denominator
+    if a == 1:
+        return None
+    y2 = Fraction(b % a, a)
     z2 = y * (1 - y * z)
-    if isinstance(y2, Fraction) and isinstance(z2, Fraction):
-        if z2 * (1 + y2) > 1:
-            raise SectionDomainError(f"return of ({y}, {z}) left the domain")
-    elif float(z2) * (1 + float(y2)) > 1 + _FLOAT_DOMAIN_TOL:
+    if z2 * (1 + y2) > 1:
         raise SectionDomainError(f"return of ({y}, {z}) left the domain")
     return CrossSectionPoint(y2, z2, -pt.eps)
 
@@ -186,28 +164,12 @@ def _image_re(a, b, c, d, xf: float, u):
     return ((a * xf + b) * cxd + a * c * u * u) / den
 
 
-def _fd_words(xf: float, u: np.ndarray) -> list[np.ndarray]:
-    """Columns a, b, c, d of the words that walk the points xf + i u into the fundamental domain."""
-    words = [np.empty(u.size, dtype=np.int64) for _ in range(4)]
-    start = (np.full(u.size, v, dtype=np.int64) for v in (1, 0, 0, 1))
-    rounds = _fd_rounds(np.full(u.size, xf), u, np.arange(u.size), *start)
-    for k, (_, _, _, n, out, (col, a, b, c, d)) in enumerate(rounds):
-        if k:  # the walk applied S, z -> -1/z, to every live column
-            a[:], b[:], c[:], d[:] = -c, -d, a.copy(), b.copy()
-        n = n.astype(np.int64)
-        a -= n * c
-        b -= n * d
-        for w, v in zip(words, (a, b, c, d)):
-            w[col[out]] = v[out]
-    return words
-
-
 def detect_events_numeric(x: ReducedFraction, dt: float) -> list[NumericEvent]:
     """All section-set touches of the orbit of x, found on a time grid of the geodesic.
 
     Walks every point xf + i e^{-i dt}, 0 <= i <= (2 ln q + 0.25)/dt, of the
     vertical geodesic ending at x from the identity into the fundamental
-    domain (lattice._fd_rounds, in chunks of lattice._FD_CHUNK points that
+    domain (lattice._fd_words, in chunks of lattice._FD_CHUNK points that
     overlap by one), which gives the unimodular word gamma_i of each point.
     A sign change of Re(gamma_{i-1}(point)) between steps i-1 and i flags a
     candidate; it counts when the exact rational endpoints of gamma_{i-1}
@@ -234,7 +196,7 @@ def detect_events_numeric(x: ReducedFraction, dt: float) -> list[NumericEvent]:
         u = np.exp(-np.arange(lo, min(lo + _FD_CHUNK - 1, n_steps) + 1) * dt)
         # Below _DETECT_Q_MAX the word entries stay near q and their products
         # below about q^2, so the int64 columns cannot overflow.
-        a, b, c, d = _fd_words(xf, u)
+        a, b, c, d = _fd_words(np.full(u.size, xf), u)
         w = (a[:-1], b[:-1], c[:-1], d[:-1])
         for i in np.flatnonzero(_image_re(*w, xf, u[:-1]) * _image_re(*w, xf, u[1:]) < 0.0):
             a0, b0, c0, d0 = int(a[i]), int(b[i]), int(c[i]), int(d[i])

@@ -43,30 +43,20 @@ class SymmetryError(LatticeError):
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Row-major 2x2 basis; optional exact-rational shadow when entries are rational."""
+    """Row-major 2x2 float basis."""
 
     m: np.ndarray
-    exact: Optional[ExactMatrix] = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.m, dtype=np.float64)
         if arr.shape != (2, 2):
             raise ValueError("basis must be 2x2")
         object.__setattr__(self, "m", arr)
-        if self.exact is not None:
-            ed = self.exact[0][0] * self.exact[1][1] - self.exact[0][1] * self.exact[1][0]
-            if abs(ed) != 1:
-                raise ValueError(f"exact determinant is {ed}, need +-1")
-        elif abs(abs(self.det()) - 1.0) > 1e-10:
+        if abs(abs(self.det()) - 1.0) > 1e-10:
             raise ValueError(f"|det| = {abs(self.det())}, need 1 within 1e-10")
 
     def det(self) -> float:
         return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-    @classmethod
-    def from_exact(cls, exact: ExactMatrix) -> "LatticeBasis":
-        rows = [[float(v) for v in row] for row in exact]
-        return cls(np.array(rows), tuple(tuple(Fraction(v) for v in row) for row in exact))
 
 
 def orbit_point(x: ReducedFraction, t: float) -> LatticeBasis:
@@ -77,12 +67,7 @@ def orbit_point(x: ReducedFraction, t: float) -> LatticeBasis:
     if t < -100.0 or t > span + 100.0:
         warnings.warn(f"t={t} is far outside the lifespan [0, {span:.3f}] of {x}", stacklevel=2)
     e = math.exp(t / 2.0)
-    m = np.array([[1.0 / e, (x.p / x.q) * e], [0.0, e]])
-    exact = None
-    if t == 0.0:
-        one = Fraction(1)
-        exact = ((one, Fraction(x.p, x.q)), (Fraction(0), one))
-    return LatticeBasis(m, exact)
+    return LatticeBasis(np.array([[1.0 / e, (x.p / x.q) * e], [0.0, e]]))
 
 
 def _reduce_rows_float(m: np.ndarray) -> np.ndarray:
@@ -97,30 +82,10 @@ def _reduce_rows_float(m: np.ndarray) -> np.ndarray:
     raise LatticeError("reduction did not terminate")
 
 
-def _reduce_rows_exact(e: ExactMatrix) -> ExactMatrix:
-    v1, v2 = list(e[0]), list(e[1])
-
-    def dot(a, b):
-        return a[0] * b[0] + a[1] * b[1]
-
-    for _ in range(_MAX_REDUCE_IT):
-        if dot(v1, v1) > dot(v2, v2):
-            v1, v2 = v2, v1
-        ratio = dot(v1, v2) / dot(v1, v1)
-        mu = math.floor(ratio + Fraction(1, 2))
-        if mu == 0:
-            return (tuple(v1), tuple(v2))
-        v2 = [v2[0] - mu * v1[0], v2[1] - mu * v1[1]]
-    raise LatticeError("exact reduction did not terminate")
-
-
 def reduce_basis(B: LatticeBasis) -> LatticeBasis:
     """Same lattice, basis with v1 the shortest nonzero vector and |<v1,v2>| <= |v1|^2/2."""
     if abs(abs(B.det()) - 1.0) > 1e-6:
         raise LatticeError(f"basis is near-singular or far from unimodular: |det|={abs(B.det())}")
-    if B.exact is not None:
-        er = _reduce_rows_exact(B.exact)
-        return LatticeBasis.from_exact(er)
     return LatticeBasis(_reduce_rows_float(B.m))
 
 
@@ -132,9 +97,6 @@ def height(B: LatticeBasis) -> float:
     fundamental-domain point.
     """
     R = reduce_basis(B)
-    if R.exact is not None:
-        n2 = R.exact[0][0] ** 2 + R.exact[0][1] ** 2
-        return 1.0 / math.sqrt(n2)
     return 1.0 / math.sqrt(float(R.m[0] @ R.m[0]))
 
 
@@ -143,13 +105,7 @@ def dual_point(B: LatticeBasis) -> LatticeBasis:
     a, b = B.m[0]
     c, d = B.m[1]
     det = B.det()
-    m = np.array([[d, -c], [-b, a]]) / det
-    exact = None
-    if B.exact is not None:
-        (ea, eb), (ec, ed) = B.exact
-        edet = ea * ed - eb * ec
-        exact = ((ed / edet, -ec / edet), (-eb / edet, ea / edet))
-    return LatticeBasis(m, exact)
+    return LatticeBasis(np.array([[d, -c], [-b, a]]) / det)
 
 
 def verify_symmetry(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -255,6 +211,25 @@ def _fd_rounds(x, y, *carry) -> Iterator[tuple[np.ndarray, ...]]:
     raise LatticeError("fundamental-domain reduction did not terminate")  # pragma: no cover
 
 
+def _fd_words(x, y) -> list[np.ndarray]:
+    """Int64 columns a, b, c, d of the words that walk the points x + iy into the fundamental domain.
+
+    Each column is the word of _fd_rounds' walk of its own point, whatever batch it runs in.
+    """
+    words = [np.empty(x.size, dtype=np.int64) for _ in range(4)]
+    start = (np.full(x.size, v, dtype=np.int64) for v in (1, 0, 0, 1))
+    rounds = _fd_rounds(x, y, np.arange(x.size), *start)
+    for k, (_, _, _, n, out, (col, a, b, c, d)) in enumerate(rounds):
+        if k:  # the walk applied S, z -> -1/z, to every live column
+            a[:], b[:], c[:], d[:] = -c, -d, a.copy(), b.copy()
+        n = n.astype(np.int64)
+        a -= n * c
+        b -= n * d
+        for w, v in zip(words, (a, b, c, d)):
+            w[col[out]] = v[out]
+    return words
+
+
 def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     """Fundamental-domain points (x, y) of the lattices with rows (a, b), (c, d), one per column.
 
@@ -264,7 +239,7 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     same order, so its result does not depend on the batch it runs in.
     Finished columns are dropped by a keep mask after every round. Its
     callers are orbit_samples and stats.orbit_fd_histogram; the crossing
-    detector walks with _fd_rounds.
+    detector walks with _fd_words.
     """
     a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
     size = a.size

@@ -337,8 +337,17 @@ def averaged_height_tail(
     sample_size: int = 2000,
     seed: int = 0,
 ) -> float:
-    """Mean of orbit_height_tail over a seeded subsample of the coprime residues."""
+    """Mean of orbit_height_tail over a seeded subsample of the coprime residues.
+
+    A sample_size of at least phi(q) takes every residue: those stream
+    through _residue_chunks, one Euclid run per chunk, so memory is
+    bounded whatever q is.
+    """
     qi = _q_int(q)
+    if qi >= 2 and sample_size >= (phi := euler_phi(qi)):
+        total = sum(_height_tails(qi, chunk.astype(np.int64), M).sum() for chunk in _residue_chunks(qi))
+        return float(total / phi)
+    # a bad q or an empty sample is refused by _residue_sample
     return float(np.mean(_height_tails(qi, _residue_sample(qi, sample_size, seed), M)))
 
 

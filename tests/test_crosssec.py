@@ -37,13 +37,13 @@ def test_point_validation():
         CrossSectionPoint(Fraction(3, 2), Fraction(1, 3), 1)
     with pytest.raises(ValueError):
         CrossSectionPoint(Fraction(1, 2), Fraction(0), 1)
-    # z <= 1/(1+y) is a hard wall in exact mode
+    # z <= 1/(1+y) is a hard wall, with no tolerance
     with pytest.raises(ValueError):
         CrossSectionPoint(Fraction(1, 2), Fraction(2, 3) + Fraction(1, 10**9), 1)
-    with pytest.raises(ValueError):
-        CrossSectionPoint(0.5, 0.67, 1)
-    assert CrossSectionPoint(Fraction(1, 2), Fraction(2, 3), 1).is_exact
-    assert not CrossSectionPoint(0.5, 0.5, -1).is_exact
+    # section points are Fractions only; a float is refused, inside the domain or not
+    for y, z in ((0.5, 0.67), (0.5, 0.5), (Fraction(1, 2), 0.5)):
+        with pytest.raises(TypeError):
+            CrossSectionPoint(y, z, -1)
 
 
 def test_first_crossing_examples():
@@ -83,10 +83,13 @@ def test_return_time_against_high_precision():
         return_time(CrossSectionPoint(Fraction(1, 2), Fraction(1, 3), 1))
 
 
-@given(st.floats(min_value=0.02, max_value=0.98), st.floats(min_value=0.01, max_value=0.99))
-def test_return_time_is_positive(yf, u):
-    z = u / (1.0 + yf)
-    pt = CrossSectionPoint(yf, z, 1)
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda v: 0 < v < 1),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda v: v > 0),
+)
+def test_return_time_is_positive(y, u):
+    z = u / (1 + y)  # so 0 < z <= 1/(1+y)
+    pt = CrossSectionPoint(y, z, 1)
     if return_map(pt) is not None:
         assert return_time(pt) > 0.0
 

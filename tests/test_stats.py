@@ -138,6 +138,28 @@ def test_averaged_height_tail_is_deterministic():
     assert averaged_height_tail(1009, 2.0) == 0.18715997277417235
 
 
+def test_full_height_tail_does_not_depend_on_the_chunk(monkeypatch):
+    # sample_size >= phi(q) streams every residue; a short chunk only regroups the sum
+    cases = [(q, M) for q in range(2, 5001, 101) for M in (1.0, 2.0, 3.5)] + [(4999, 2.0), (5000, 2.0)]
+    want = [averaged_height_tail(q, M, sample_size=q) for q, M in cases]
+    monkeypatch.setattr(stats, "_CHUNK", 97)
+    got = [averaged_height_tail(q, M, sample_size=q) for q, M in cases]
+    assert all(isinstance(v, float) for v in got)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_full_height_tail_traced_peak_is_bounded():
+    # every residue of 10^6+3: two phi-long arrays peaked at 145 MB traced, residue chunks at about 5 MB
+    tracemalloc.start()
+    try:
+        tail = averaged_height_tail(10**6 + 3, 2.0, sample_size=10**6 + 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tail == pytest.approx(0.21318760854149957, rel=1e-14)
+    assert peak <= 10 * 2**20, peak
+
+
 def test_haar_height_tail_near_closed_form():
     got = haar_height_tail(np.random.default_rng(7), 200000, 2.0)
     assert got == 0.240705
