@@ -19,6 +19,17 @@ result is an exact rational rounded once to a float, whatever the
 chunking. Gauss-map points are binned exactly: the bin of B/A with
 nbins bins is (B * nbins) // A, never a float comparison.
 
+The sweeps and the mass-escape count run the kernel over p <= q/2 only
+and fold in the mirror q - p. Its orbit is the reflection of p's under
+(u, v) -> (u, -v), which commutes with the flow, so it has the same
+norms and heights; and for p < q/2 with p/q = [a_1, ..., a_n],
+(q - p)/q = [1, a_1 - 1, a_2, ..., a_n]: its Gauss iterates are
+(q - p)/q and p/(q - p), then those of p/q from the second on, and its
+convergent vectors are p's behind (1, (q - p)/q), which is never short.
+Every folded result is the same integer tally, so it is exact. The
+full-residue height tail and the fundamental-domain histogram are not
+folded (see their docstrings).
+
 Orbit heights and the no-escape-of-mass count are exact: each excursion
 toward the cusp, its peak, its time above a height M and the norm of its
 vector at a time t are read in closed form off the Euclid chain
@@ -123,53 +134,86 @@ class _SweepData:
         return int(np.arange(self.len_counts.size, dtype=np.int64) ** k @ self.len_counts)
 
 
-def _residue_chunks(q: int) -> Iterator[np.ndarray]:
-    """The coprime residues of q in increasing order, _CHUNK at a time (the last chunk may be short).
+def _residue_chunks(q: int, top: int | None = None) -> Iterator[np.ndarray]:
+    """The coprime residues of q below top (default q) in increasing order, _CHUNK at a time.
 
+    Only the last chunk may be short, and an empty range yields nothing.
     Each chunk is sieved from a block of integers that holds at least
     _CHUNK residues: an interval of length L holds L phi(q)/q of them up
     to an error below 2^omega(q). The next block starts past the last
     residue taken. Columns are int32 when q < 2^31 and int64 above.
     Every full-residue pass runs each chunk whole through the Euclid
-    kernel, so _CHUNK sets its working set.
+    kernel, so _CHUNK sets its working set. The sweeps and the
+    mass-escape count take top = q // 2 + 1, the residues p <= q/2,
+    and fold in their mirrors q - p.
     """
+    top = q if top is None else top
     m = factorize(q)
     dtype = np.int32 if q < 2**31 else np.int64
     span = -(-(_CHUNK + 2 ** omega(m)) * q // euler_phi(m))
     lo = 1
-    while lo < q:
-        hi = min(q, lo + span)
+    while lo < top:
+        hi = min(top, lo + span)
         chunk = np.flatnonzero(_coprime_mask(m.primes, lo, hi))[:_CHUNK].astype(dtype)
+        if not chunk.size:  # only a block cut short by top can be empty, and it is the last
+            return
         chunk += lo
         yield chunk
         lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
 
 
 def _chunk_tallies(
-    q: int, chunk: np.ndarray, len_counts: np.ndarray, bin_tally: np.ndarray, digit_tally: np.ndarray
+    q: int,
+    chunk: np.ndarray,
+    len_counts: np.ndarray,
+    bin_tally: np.ndarray,
+    digit_tally: np.ndarray,
+    shared_digits: np.ndarray,
 ) -> None:
-    """Add one chunk's lengths to len_counts and its (length, bin) and (length, digit) pairs to the tallies.
+    """Tally the lengths and (length, bin) and (length, digit) pairs of a chunk of p < q/2 and their mirrors.
 
-    The first Euclid run finds each column's length n; the second carries
-    n and counts every round of the column at row n of both tallies,
-    column (b * bins) // a of bin_tally and min(d, DIGIT_CAP + 1) of
-    digit_tally. Once a column ends its n is 0, so the rounds it stays
-    parked for (b = d = 0) land in row 0, which no live column reaches.
+    For p/q = [a_1, ..., a_n], (q - p)/q = [1, a_1 - 1, a_2, ..., a_n]:
+    its iterates are (q - p)/q, p/(q - p), then those of p/q from the
+    second on. So the first Euclid run finds each column's length n, and
+    len_counts gets n and n + 1. The mirror's two leading rounds are
+    counted per column at row n + 1. The second run carries n and counts
+    round 0 of p at row n, and every later round at rows n and n + 1: in
+    bin_tally at column (b * bins) // a, through a view of the tally one
+    row down; in digit_tally at column min(d, DIGIT_CAP + 1), through
+    shared_digits at row n, which _sweep adds at both rows after the
+    last chunk. (A shared (length, bin) tally would double the largest
+    array of a wide binning.) Once a column ends its n is -1, so the
+    rounds it stays parked for (b = d = 0) land in the last row, which
+    no length reaches.
     """
     rows, bins = bin_tally.shape
+    width = DIGIT_CAP + 2
     index_dtype = np.int32 if max(q - 1, rows) * bins < 2**31 else np.int64
     lens = np.zeros_like(chunk)
     rounds = _euclid_rounds(np.full_like(chunk, q), chunk, np.arange(chunk.size, dtype=chunk.dtype))
     for k, (_, b, _, r, (idx,)) in enumerate(rounds, 1):
         lens[idx[(r == 0) & (b > 0)]] = k
-    len_counts += np.bincount(lens, minlength=rows)
-    for a, b, d, r, (n,) in _euclid_rounds(np.full_like(chunk, q), chunk, lens):
+    counts = np.bincount(lens, minlength=rows)
+    len_counts += counts
+    len_counts[1:] += counts[:-1]
+    # the mirror's rounds 0 and 1: (q - p)/q with digit 1, p/(q - p) with digit a_1 - 1 >= 1
+    mirror = q - chunk
+    bin_flat, digit_flat = bin_tally.reshape(-1), digit_tally.reshape(-1)
+    row = np.multiply(lens + 1, bins, dtype=index_dtype)
+    np.add.at(bin_flat, np.multiply(mirror, bins, dtype=index_dtype) // q + row, 1)
+    np.add.at(bin_flat, np.multiply(chunk, bins, dtype=index_dtype) // mirror + row, 1)
+    row = (lens + 1) * width
+    np.add.at(digit_flat, row + 1, 1)
+    np.add.at(digit_flat, row + np.minimum(q // chunk - 1, DIGIT_CAP + 1), 1)
+    for k, (a, b, d, r, (n,)) in enumerate(_euclid_rounds(np.full_like(chunk, q), chunk, lens)):
         with np.errstate(divide="ignore"):  # a column parked for two rounds has a = 0 too
             cell = np.multiply(b, bins, dtype=index_dtype) // a
         cell += np.multiply(n, bins, dtype=index_dtype)
-        np.add.at(bin_tally.reshape(-1), cell, 1)
-        np.add.at(digit_tally.reshape(-1), n * (DIGIT_CAP + 2) + np.minimum(d, DIGIT_CAP + 1), 1)
-        n[r == 0] = 0
+        np.add.at(bin_flat, cell, 1)
+        if k:  # every round after the first is a round of q - p too
+            np.add.at(bin_flat[bins:], cell, 1)
+        np.add.at(shared_digits.reshape(-1) if k else digit_flat, n * width + np.minimum(d, DIGIT_CAP + 1), 1)
+        n[r == 0] = -1
 
 
 def _weighted_means(tally: np.ndarray, phi: int) -> np.ndarray:
@@ -197,11 +241,13 @@ def _weighted_means(tally: np.ndarray, phi: int) -> np.ndarray:
 def _sweep(q: int, bins: int) -> _SweepData:
     """Integer tallies of one full sweep over the coprime p, rounded once at the end.
 
-    The residues come per chunk of 2^15 (_residue_chunks), each run twice
-    through the Euclid kernel (_chunk_tallies): a column's length is
-    known only once it ends, and each of its rounds is counted against
-    that length. The int64 tallies do not depend on how the residues
-    are grouped, so nu_bar's weight of bin j, sum_n T[n, j] / (n phi),
+    The residues p <= q/2 come per chunk of 2^15 (_residue_chunks), each
+    run twice through the Euclid kernel (_chunk_tallies): a column's
+    length is known only once it ends, and each of its rounds is counted
+    against that length. Each mirror q - p is counted with its p: its
+    Euclid chain is p's behind two leading rounds, so half the residues
+    give every tally exactly. The int64 tallies do not depend on how the
+    residues are grouped, so nu_bar's weight of bin j, sum_n T[n, j] / (n phi),
     and the weighted digit-1 frequency, sum_n D[n, 1] / (n phi), are
     exact rationals, each rounded once (_weighted_means). The products
     b * bins and n * bins are int32 while both stay below 2^31 and int64
@@ -220,12 +266,17 @@ def _sweep(q: int, bins: int) -> _SweepData:
     if (q - 1) * bins >= 2**63:
         raise ValueError(f"q={q}, bins={bins}: the bin index b * bins can reach the int64 ceiling 2^63")
     # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
+    # and no length reaches the last row, where ended columns park
     rows = q.bit_length() * 3 // 2 + 2
     len_counts = np.zeros(rows, dtype=np.int64)
     bin_tally = np.zeros((rows, bins), dtype=np.int64)
     digit_tally = np.zeros((rows, DIGIT_CAP + 2), dtype=np.int64)
-    for chunk in _residue_chunks(q):
-        _chunk_tallies(q, chunk, len_counts, bin_tally, digit_tally)
+    shared_digits = np.zeros_like(digit_tally)
+    for chunk in _residue_chunks(q, q // 2 + 1):
+        _chunk_tallies(q, chunk, len_counts, bin_tally, digit_tally, shared_digits)
+    digit_tally += shared_digits
+    digit_tally[1:] += shared_digits[:-1]
+    bin_tally[-1] = digit_tally[-1] = 0  # the parked rounds
     phi = int(len_counts.sum())
     nu = _weighted_means(bin_tally, phi)
     digit1 = float(_weighted_means(digit_tally[:, 1:2], phi)[0])
@@ -341,7 +392,9 @@ def averaged_height_tail(
 
     A sample_size of at least phi(q) takes every residue: those stream
     through _residue_chunks, one Euclid run per chunk, so memory is
-    bounded whatever q is.
+    bounded whatever q is. That pass is not folded by p <-> q - p like
+    the sweeps: twice a half sum would regroup the float sum, and the
+    phi(1009) = 1008 value is pinned bit for bit.
     """
     qi = _q_int(q)
     if qi >= 2 and sample_size >= (phi := euler_phi(qi)):
@@ -387,8 +440,13 @@ def mass_escape_count(
     it; escalations counts the margin hits per (vector, residue). The
     count is asserted against (4/M^2) phi(q), a bound proven in the range
     0 <= t <= ln q - 2 omega(q); checked=False skips that range guard.
-    The residues are taken per chunk of _residue_chunks, one Euclid run
-    each, so memory is bounded whatever q is (about 5 MB traced).
+    The pass runs over p <= q/2 only. The orbit lattice of (q - p)/q is
+    the mirror image of p's and its chain is p's behind one vector that
+    is never short, so each p counts and escalates for q - p too; that
+    vector's own margin hits (possible past q = 2^40, with M near 1) are
+    added apart. The residues are taken per chunk of _residue_chunks,
+    one Euclid run each, so memory is bounded whatever q is (about 5 MB
+    traced).
     """
     qi = _q_int(q)
     if qi < 2:
@@ -417,9 +475,14 @@ def mass_escape_count(
             return lhs <= 1 / mpmath.mpf(M) ** 2
 
     phi = euler_phi(qi)
-    count = 0
-    for chunk in _residue_chunks(qi):
+    count = lead_escalations = 0
+    for chunk in _residue_chunks(qi, qi // 2 + 1):
         ps = chunk.astype(np.int64)  # int64 like every other column of _excursions
+        if qi > 2 and 1.0 - inv_m2 <= 2 * tol:
+            # the chain of q - p is p's behind (1, (q - p)/q), whose squared norm,
+            # 2(q - p)/q or more, never counts, but an M this near 1 brings it into the margin
+            lead = emt + ((qi - ps) / qi) ** 2 * ept - inv_m2
+            lead_escalations += int(np.count_nonzero(np.abs(lead) <= tol))
         hit = np.zeros(ps.size, dtype=bool)
         for idx, qk, rk, rem in _excursions(qi, ps):
             # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
@@ -434,6 +497,9 @@ def mass_escape_count(
             # later convergents have larger q_k, so none of them can be short
             rem[head - inv_m2 > tol] = 0
         count += int(np.count_nonzero(hit))
+    # q - p counts and escalates as p does; the one residue of q = 2 is its own mirror
+    fold = 2 if qi > 2 else 1
+    count, escalations = fold * count, fold * escalations + lead_escalations
     # every chain ends in the vector (q, 0), short for every residue or for none
     gap = qi * qi * emt - inv_m2
     if abs(gap) <= tol:
@@ -514,7 +580,9 @@ def orbit_fd_histogram(
     lattice, at most _FD_CHUNK points per call, and each call's points
     are added into the cells at once, so memory does not grow with
     sample_size. The weights are sums of the trapezoid end weights 1/2
-    and 1, so they are exact and do not depend on the chunking.
+    and 1, so they are exact and do not depend on the chunking. The
+    residues are not folded by p <-> q - p: the domain's tie rule
+    x = 1/2 -> -1/2 breaks the mirror, and the seeded sample stays put.
     """
     if not 0 < dt <= 0.1:
         raise ValueError("dt must lie in (0, 0.1]")

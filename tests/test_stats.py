@@ -302,9 +302,10 @@ def test_mass_escape_counts_do_not_depend_on_the_chunk(monkeypatch):
 
 def test_mass_escape_squares_continuants_without_wrapping(monkeypatch):
     # 2/q has q_1 = (q - 1)/2 > sqrt(2^63), whose int64 square wraps negative;
-    # three residues stand in for a full pass, which would take hours here
+    # three residues stand in for a half pass, which would take hours here,
+    # and the count holds their mirrors q - 1, q - 2 and q - 3 too
     q, M, t = 7 * 10**9 + 1, 2.0, 44.0
-    monkeypatch.setattr(stats, "_residue_chunks", lambda q: iter([np.array([1, 2, 3], dtype=np.int64)]))
+    monkeypatch.setattr(stats, "_residue_chunks", lambda q, top=None: iter([np.array([1, 2, 3], dtype=np.int64)]))
     rep = mass_escape_count(q, M, t, checked=False)
     with mpmath.workdps(50):
         lim = 1 / mpmath.mpf(M) ** 2
@@ -313,7 +314,7 @@ def test_mass_escape_squares_continuants_without_wrapping(monkeypatch):
                 qk * qk * mpmath.exp(-t) + (mpmath.mpf(abs(qk * p - pk * q)) / q) ** 2 * mpmath.exp(t) <= lim
                 for pk, qk in convergents(cfe_digits(ReducedFraction(p, q))).pairs[1:]
             )
-            for p in (1, 2, 3)
+            for p in (1, 2, 3, q - 1, q - 2, q - 3)
         )
     assert (q - 1) // 2 > math.isqrt(2**63)
     assert rep.count == want

@@ -15,17 +15,22 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cforbit import stats
 from cforbit.arith import _euclid_rounds, coprime_array, euler_phi
 from cforbit.cfe import CfeWord, ReducedFraction, cfe_digits, cfe_len, word_frequency
+from cforbit.lattice import _excursions
 from cforbit.stats import (
     _CHUNK,
     DEFAULT_BINS,
+    DIGIT_CAP,
+    _SweepData,
     _sweep,
+    _weighted_means,
     digit_one_frequency,
     len_stats,
     mass_escape_count,
@@ -131,6 +136,23 @@ def test_residue_chunks_tile_the_coprime_array(size, q):
     assert np.concatenate(chunks).tolist() == coprime_array(q).tolist()
 
 
+@pytest.mark.parametrize("size", (1, 7, 64))
+@settings(max_examples=12)
+@given(q=st.one_of(st.integers(min_value=2, max_value=10**5), _smooth_moduli), cut=st.floats(0.0, 1.0))
+@example(q=2, cut=0.0)  # top = 1: no residue
+@example(q=6, cut=0.6)  # top = 4: past the residue 1, the block [2, 4) holds none
+@example(q=30030, cut=0.5)
+def test_residue_chunks_below_top_tile_the_coprime_residues_below_it(size, q, cut):
+    top = 1 + round(cut * (q - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_CHUNK", size)
+        chunks = list(stats._residue_chunks(q, top))
+    assert all(c.size == size for c in chunks[:-1])
+    assert all(1 <= c.size <= size for c in chunks)
+    residues = coprime_array(q)
+    assert [p for c in chunks for p in c.tolist()] == residues[residues < top].tolist()
+
+
 @pytest.mark.parametrize("q, dtype", [(2**31 - 1, np.int32), (2**31 + 11, np.int64)])
 def test_residue_chunk_columns_are_int32_below_2_to_31(q, dtype):
     first = next(stats._residue_chunks(q))
@@ -189,9 +211,105 @@ def test_int64_columns_give_the_int32_bits(q, bins, monkeypatch):
     assert euler_phi(q) <= _CHUNK
     want = _sweep_bits(q, bins)
     sieve = stats._residue_chunks
-    monkeypatch.setattr(stats, "_residue_chunks", lambda q: (c.astype(np.int64) for c in sieve(q)))
+    monkeypatch.setattr(stats, "_residue_chunks", lambda q, top=None: (c.astype(np.int64) for c in sieve(q, top)))
     assert next(stats._residue_chunks(q)).dtype == np.int64
     assert _sweep_bits(q, bins) == want
+
+
+def _unfolded_sweep(q, bins):
+    """_sweep without the p <-> q - p fold: both Euclid runs go over every coprime residue."""
+    rows = q.bit_length() * 3 // 2 + 2
+    len_counts = np.zeros(rows, dtype=np.int64)
+    bin_tally = np.zeros((rows, bins), dtype=np.int64)
+    digit_tally = np.zeros((rows, DIGIT_CAP + 2), dtype=np.int64)
+    chunk = coprime_array(q).astype(np.int32)
+    lens = np.zeros_like(chunk)
+    rounds = _euclid_rounds(np.full_like(chunk, q), chunk, np.arange(chunk.size, dtype=chunk.dtype))
+    for k, (_, b, _, r, (idx,)) in enumerate(rounds, 1):
+        lens[idx[(r == 0) & (b > 0)]] = k
+    len_counts += np.bincount(lens, minlength=rows)
+    for a, b, d, r, (n,) in _euclid_rounds(np.full_like(chunk, q), chunk, lens):
+        with np.errstate(divide="ignore"):
+            cell = np.multiply(b, bins, dtype=np.int64) // a
+        cell += np.multiply(n, bins, dtype=np.int64)
+        np.add.at(bin_tally.reshape(-1), cell, 1)
+        np.add.at(digit_tally.reshape(-1), n * (DIGIT_CAP + 2) + np.minimum(d, DIGIT_CAP + 1), 1)
+        n[r == 0] = 0
+    phi = int(len_counts.sum())
+    nu = _weighted_means(bin_tally, phi)
+    digit1 = float(_weighted_means(digit_tally[:, 1:2], phi)[0])
+    return _SweepData(phi, len_counts, digit_tally[1:].sum(axis=0), nu, digit1)
+
+
+def _unfolded_escape(q, M, t, residues):
+    """mass_escape_count's (count, escalations) without the fold: one pass over every residue given."""
+    inv_m2, emt = 1.0 / (M * M), math.exp(-t)
+    ept = math.exp(t) if t <= 709.0 else math.inf
+    tol = 2.0**-40 * inv_m2
+
+    def exact(m, r):
+        with mpmath.workdps(50):
+            return m * m * mpmath.exp(-t) + (mpmath.mpf(r) / q) ** 2 * mpmath.exp(t) <= 1 / mpmath.mpf(M) ** 2
+
+    hit = np.zeros(residues.size, dtype=bool)
+    escalations = 0
+    for idx, qk, rk, rem in _excursions(q, residues):
+        head = np.square(qk, dtype=np.float64) * emt
+        gap = head + (rk / q) ** 2 * ept - inv_m2
+        hit[idx[gap < -tol]] = True
+        near = np.flatnonzero(np.abs(gap) <= tol)
+        escalations += near.size
+        for i in near:
+            hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
+        rem[head - inv_m2 > tol] = 0
+    count = int(np.count_nonzero(hit))
+    gap = q * q * emt - inv_m2
+    if abs(gap) <= tol:
+        escalations += euler_phi(q)
+    if gap < -tol or (abs(gap) <= tol and exact(q, 0)):
+        count = euler_phi(q)
+    return count, escalations
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(min_value=2, max_value=5000),
+    bins=st.sampled_from((1, 7, 256)),
+    M=st.floats(1.01, 6.0),
+    t=st.floats(0.0, 2 * math.log(5000) + 3),
+)
+@example(q=2, bins=1, M=2.0, t=2.0)  # q = 2: its one residue is its own mirror
+@example(q=3, bins=7, M=1.5, t=1.0)
+@example(q=4, bins=256, M=1.5, t=1.0)
+@example(q=5, bins=1, M=1.2, t=0.5)
+@example(q=6, bins=7, M=2.0, t=2 * math.log(12.0) + 0.01)
+@example(q=97, bins=256, M=2.0, t=2 * math.log(194.0))  # (q, 0) has norm 1/M: every residue escalates
+@example(q=1000, bins=7, M=3.0, t=4.0)
+@example(q=2310, bins=256, M=2.0, t=3.0)
+@example(q=6765, bins=7, M=5.0, t=11.8)  # F_20: the mirror 4181/6765 = [1, ..., 1, 2] is Lame's longest word
+def test_folded_passes_equal_the_unfolded_reference(q, bins, M, t):
+    if q >= 3:
+        got, want = _sweep.__wrapped__(q, bins), _unfolded_sweep(q, bins)
+        assert got.phi == want.phi
+        for name in ("len_counts", "digit_counts", "nu"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert repr(got.digit1) == repr(want.digit1)
+    rep = mass_escape_count(q, M, t, checked=False)
+    assert (rep.count, rep.escalations) == _unfolded_escape(q, M, t, coprime_array(q).astype(np.int64))
+
+
+def test_mass_escape_counts_the_margin_hits_of_the_mirror_lead(monkeypatch):
+    # 2 p = q - 1: at e^t = q/(q - p), the mirror's leading vector (1, (q - p)/q) has squared
+    # norm 1 + 1/q, inside the 2^-40 margin of 1/M^2 past q = 2^40 with M this near 1;
+    # one residue stands in for a half pass, which would take days here
+    q = 2**41 + 1
+    p = (q - 1) // 2
+    M, t = 1.0 + 2.0**-44, math.log(q / (q - p))
+    monkeypatch.setattr(stats, "_residue_chunks", lambda q, top=None: iter([np.array([p], dtype=np.int64)]))
+    rep = mass_escape_count(q, M, t, checked=False)
+    want = _unfolded_escape(q, M, t, np.array([p, q - p], dtype=np.int64))
+    assert want == (2, 3)
+    assert (rep.count, rep.escalations) == want
 
 
 @settings(max_examples=25, deadline=None)
