@@ -180,7 +180,8 @@ def from_digits(w: CfeWord) -> ReducedFraction:
 
 @dataclass(frozen=True)
 class DigitHistogram:
-    cap: int
+    """Counts of the digits up to stats.DIGIT_CAP; larger digits pool in overflow."""
+
     counts: dict[int, int]
     overflow: int
 

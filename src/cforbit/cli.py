@@ -18,7 +18,7 @@ import secrets
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -28,6 +28,7 @@ from .cfe import ReducedFraction, cfe_digits
 from .crosssec import crossing_sequence, kappa_quadrature
 from .lattice import SymmetryError, orbit_samples, verify_symmetry
 from .stats import (
+    DEFAULT_BINS,
     SWEEP_Q_MIN,
     FdHistogram,
     dispersion,
@@ -60,18 +61,16 @@ def _cast_float(s: str) -> float:
     return v
 
 
-def _cast_int_list(s: str) -> tuple[int, ...]:
-    parts = [p for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty integer list")
-    return tuple(int(p, 10) for p in parts)
+def _cast_list(cast: Callable[[str], object], kind: str) -> Callable[[str], tuple]:
+    """The cast of a comma-separated list of `cast` values; blank items are skipped."""
 
+    def cast_list(s: str) -> tuple:
+        parts = [p for p in s.split(",") if p.strip()]
+        if not parts:
+            raise ValueError(f"empty {kind} list")
+        return tuple(map(cast, parts))
 
-def _cast_float_list(s: str) -> tuple[float, ...]:
-    parts = [p for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty number list")
-    return tuple(_cast_float(p) for p in parts)
+    return cast_list
 
 
 def _default_threads() -> int:
@@ -140,7 +139,7 @@ class ExperimentConfig:
     )
     p: Optional[int] = _param(_cast_int, "numerator", lambda v: v >= 1, "p must be >= 1")
     q: Optional[tuple[int, ...]] = _param(
-        _cast_int_list,
+        _cast_list(_cast_int, "integer"),
         "denominator(s), comma separated",
         lambda v: all(x >= 2 for x in v),
         "every q must be >= 2",
@@ -150,7 +149,7 @@ class ExperimentConfig:
     )
     K: Optional[int] = _param(_cast_int, "digit bound", lambda v: v >= 1, "K must be >= 1")
     M: Optional[tuple[float, ...]] = _param(
-        _cast_float_list,
+        _cast_list(_cast_float, "number"),
         "height threshold(s), comma separated",
         lambda v: all(x > 1 for x in v),
         "every M must be > 1",
@@ -495,16 +494,7 @@ def _run_zaremba_census(cfg: ExperimentConfig) -> Iterator[Block]:
 
 def _run_zaremba_height(cfg: ExperimentConfig) -> Iterator[Block]:
     for q in cfg.q or ():
-        r = height_bound_check(q, cfg.K)
-        yield _one_row({
-            "q": r.q,
-            "K": r.K,
-            "checked": r.checked,
-            "bound": r.bound,
-            "max_height": r.max_height,
-            "argmax_t": r.argmax_t,
-            "argmax_p": r.argmax_p,
-        }), None
+        yield _one_row(asdict(height_bound_check(q, cfg.K))), None
 
 
 def _run_symmetry_check(cfg: ExperimentConfig) -> Iterator[Block]:
@@ -563,14 +553,14 @@ _SUBCOMMANDS: dict[str, _SubSpec] = {
         _SubSpec(
             "sweep-len",
             "exact length statistics of the full coprime sweep",
-            {"q": _REQUIRED, "bins": 256},
+            {"q": _REQUIRED, "bins": DEFAULT_BINS},
             ("q", "phi", "mean_len", "var_len", "mean_ratio", "ks_to_gauss"),
             _run_sweep_len,
         ),
         _SubSpec(
             "sweep-digits",
             "digit census of the full coprime sweep (digit 0 = overflow)",
-            {"q": _REQUIRED, "bins": 256},
+            {"q": _REQUIRED, "bins": DEFAULT_BINS},
             ("q", "digit", "count", "frequency"),
             _run_sweep_digits,
         ),

@@ -224,13 +224,9 @@ def kappa_quadrature() -> float:
     """The section-measure normalizing constant: reciprocal of -4 * integral of ln(y)/(1+y) on (0,1)."""
     import mpmath  # only here and in stats.mass_escape_count, so import cforbit does not load it
 
-    old = mpmath.mp.dps
-    try:
-        mpmath.mp.dps = 30
+    with mpmath.workdps(30):
         integral = mpmath.quad(lambda y: mpmath.log(y) / (1 + y), [0, 1])
         return float(-1 / (4 * integral))
-    finally:
-        mpmath.mp.dps = old
 
 
 def sample_section(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,11 +46,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
-from .arith import Modulus, _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
+from .arith import _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
 from .cfe import DigitHistogram, ReducedFraction, cfe_len
 from .gaussmeasure import LN2, gauss_cdf
 from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
@@ -65,10 +65,6 @@ _CHUNK = 1 << 15  # residues per sieve block and per Euclid run
 
 #: smallest modulus the full sweeps (nu_bar, len_stats, dispersion, digit_one_frequency) accept
 SWEEP_Q_MIN = 3
-
-
-def _q_int(m: Union[int, Modulus]) -> int:
-    return m.q if isinstance(m, Modulus) else int(m)
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,10 @@ def uniform_edges(bins: int) -> np.ndarray:
     return np.arange(bins + 1, dtype=np.float64) / bins
 
 
-def ks_distance(e: EmpiricalMeasure, cdf: Callable[[float], float] = gauss_cdf) -> float:
-    """Largest |CDF_e - cdf| over the bin edges."""
+def ks_distance(e: EmpiricalMeasure) -> float:
+    """Largest |CDF_e - gauss_cdf| over the bin edges."""
     emp = e.cdf_at_edges()
-    ref = np.array([cdf(v) for v in e.edges])
+    ref = np.array([gauss_cdf(v) for v in e.edges])
     return float(np.max(np.abs(emp - ref)))
 
 
@@ -283,9 +279,9 @@ def _sweep(q: int, bins: int) -> _SweepData:
     return _SweepData(phi, len_counts, digit_tally[1:].sum(axis=0), nu, digit1)
 
 
-def nu_bar(q: Union[int, Modulus], bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
+def nu_bar(q: int, bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
     """Average of nu_pq over all residues coprime to q; total weight 1."""
-    return EmpiricalMeasure(uniform_edges(bins), _sweep(_q_int(q), bins).nu.copy())
+    return EmpiricalMeasure(uniform_edges(bins), _sweep(int(q), bins).nu.copy())
 
 
 @dataclass(frozen=True)
@@ -302,39 +298,35 @@ class SweepSummary:
             raise ValueError("mean_len exceeds the 2 log2 q ceiling")
 
 
-def len_stats(q: Union[int, Modulus], bins: int = DEFAULT_BINS) -> SweepSummary:
+def len_stats(q: int, bins: int = DEFAULT_BINS) -> SweepSummary:
     """Exact mean and variance of len(p/q) over coprime p, with the digit census of the sweep."""
-    qi = _q_int(q)
+    qi = int(q)
     sd = _sweep(qi, bins)
     mean = Fraction(sd.len_moment(1), sd.phi)
     var = Fraction(sd.len_moment(2), sd.phi) - mean * mean
     counts = {d: int(sd.digit_counts[d]) for d in range(1, DIGIT_CAP + 1) if sd.digit_counts[d]}
-    dh = DigitHistogram(DIGIT_CAP, counts, int(sd.digit_counts[DIGIT_CAP + 1]))
+    dh = DigitHistogram(counts, int(sd.digit_counts[DIGIT_CAP + 1]))
     ks = ks_distance(EmpiricalMeasure(uniform_edges(bins), sd.nu))
     return SweepSummary(qi, sd.phi, mean, var, dh, ks)
 
 
-def dispersion(q: Union[int, Modulus], delta: float) -> float:
+def dispersion(q: int, delta: float) -> float:
     """Fraction of residues whose len/(2 ln q) misses the limit constant by more than delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    qi = _q_int(q)
+    qi = int(q)
     sd = _sweep(qi, DEFAULT_BINS)
     ratios = np.arange(sd.len_counts.size, dtype=np.float64) / (2.0 * math.log(qi))
     return int(sd.len_counts[np.abs(ratios - LEN_RATE) > delta].sum()) / sd.phi
 
 
-def digit_one_frequency(q: Union[int, Modulus], weighted: bool = True) -> float:
-    """Aggregated frequency of partial quotient 1 across the sweep.
+def digit_one_frequency(q: int) -> float:
+    """The mass the averaged orbit measure puts on partial quotient 1 (each orbit counts with weight 1/len).
 
-    weighted=True is the mass the averaged orbit measure puts on digit 1
-    (each orbit counts with weight 1/len); weighted=False pools every
-    digit of every orbit with equal weight.
+    The pooled share, every digit of every orbit with equal weight, is
+    len_stats(q).digit_hist.counts[1] / .total.
     """
-    sd = _sweep(_q_int(q), DEFAULT_BINS)
-    if weighted:
-        return sd.digit1
-    return int(sd.digit_counts[1]) / sd.len_moment(1)
+    return _sweep(int(q), DEFAULT_BINS).digit1
 
 
 def _height_tails(q: int, ps: np.ndarray, M: float) -> np.ndarray:
@@ -382,12 +374,7 @@ def _residue_sample(q: int, sample_size: int, seed: int) -> np.ndarray:
     return residues
 
 
-def averaged_height_tail(
-    q: Union[int, Modulus],
-    M: float,
-    sample_size: int = 2000,
-    seed: int = 0,
-) -> float:
+def averaged_height_tail(q: int, M: float, sample_size: int = 2000, seed: int = 0) -> float:
     """Mean of orbit_height_tail over a seeded subsample of the coprime residues.
 
     A sample_size of at least phi(q) takes every residue: those stream
@@ -396,7 +383,7 @@ def averaged_height_tail(
     the sweeps: twice a half sum would regroup the float sum, and the
     phi(1009) = 1008 value is pinned bit for bit.
     """
-    qi = _q_int(q)
+    qi = int(q)
     if qi >= 2 and sample_size >= (phi := euler_phi(qi)):
         total = sum(_height_tails(qi, chunk.astype(np.int64), M).sum() for chunk in _residue_chunks(qi))
         return float(total / phi)
@@ -427,9 +414,7 @@ class MassEscapeReport:
     escalations: int
 
 
-def mass_escape_count(
-    q: Union[int, Modulus], M: float, t: float, checked: bool = True
-) -> MassEscapeReport:
+def mass_escape_count(q: int, M: float, t: float, checked: bool = True) -> MassEscapeReport:
     """Exact count of residues p whose orbit lattice at time t holds a vector of norm <= 1/M.
 
     Only convergent vectors (q_k, r_k/q) can be that short (see
@@ -448,7 +433,7 @@ def mass_escape_count(
     one Euclid run each, so memory is bounded whatever q is (about 5 MB
     traced).
     """
-    qi = _q_int(q)
+    qi = int(q)
     if qi < 2:
         raise ValueError("q must be >= 2")
     if M <= 1:
@@ -568,7 +553,7 @@ def _fd_accumulate(xs: np.ndarray, vs: np.ndarray, w: np.ndarray, grid: int) -> 
 
 
 def orbit_fd_histogram(
-    q: Union[int, Modulus],
+    q: int,
     dt: float = 0.05,
     grid: int = 24,
     sample_size: int = 600,
@@ -588,7 +573,7 @@ def orbit_fd_histogram(
         raise ValueError("dt must lie in (0, 0.1]")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    qi = _q_int(q)
+    qi = int(q)
     residues = _residue_sample(qi, sample_size, seed)
     span = 2.0 * math.log(qi)
     n = max(1, int(math.ceil(span / dt)))

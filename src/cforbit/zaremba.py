@@ -50,8 +50,9 @@ from .gaussmeasure import LN2
 from .lattice import _excursions
 
 # pairs per kernel run in the brute-force census: small enough that the
-# live columns stay in cache (the sweeps' 2^18 ran the Q = 10^4 census
-# about 25% slower), large enough to batch many small q
+# live columns stay in cache (runs of 2^18 pairs, the width the sweeps'
+# chunks once had, took the Q = 10^4 census about 25% longer), large
+# enough to batch many small q
 _PAIR_CHUNK = 1 << 12
 
 # (q_{k-1}, q_k) states per block of the digit-tree walk; besides its two
@@ -62,8 +63,8 @@ _BLOCK = 1 << 16
 # rows read per slice of a tally: whole-tally index lists cost MBs at large Q
 _ROW_BLOCK = 1 << 12
 
-#: largest q that height_bound_check takes: a block of one q sends all
-#: phi(q) coprime pairs through _levels at once
+#: largest q that members and height_bound_check take: a block of one q
+#: sends all phi(q) coprime pairs through _levels at once
 HEIGHT_Q_MAX = 10**6
 
 
@@ -287,19 +288,18 @@ class _Block(NamedTuple):
 
     The relaxed members of q = lo + i are ps[starts[i] : starts[i + 1]],
     ascending, and strict flags the ones whose strict level is at most K
-    too. prod and qk (see _peaks) are None in a block built for members
-    alone.
+    too. prod and qk are their peaks (see _peaks).
     """
 
     lo: int
     starts: np.ndarray
     ps: np.ndarray
     strict: np.ndarray
-    prod: Optional[np.ndarray]
-    qk: Optional[np.ndarray]
+    prod: np.ndarray
+    qk: np.ndarray
 
 
-def _build_block(lo: int, hi: int, K: int, peaks: bool = True) -> _Block:
+def _build_block(lo: int, hi: int, K: int) -> _Block:
     """One _levels run over the coprime pairs of lo <= q < hi, then one _excursions run over their members."""
     chunks = list(_coprime_pairs(lo, hi))
     q, p = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
@@ -307,7 +307,7 @@ def _build_block(lo: int, hi: int, K: int, peaks: bool = True) -> _Block:
     keep = np.flatnonzero(relaxed <= K)
     q, p = q[keep], p[keep]
     starts = np.searchsorted(q, np.arange(lo, hi + 1))
-    return _Block(lo, starts, p, strict[keep] <= K, *(_peaks(q, p) if peaks else (None, None)))
+    return _Block(lo, starts, p, strict[keep] <= K, *_peaks(q, p))
 
 
 @functools.lru_cache(maxsize=4)  # ascending loops over q need one entry
@@ -319,12 +319,16 @@ def _cached_block(lo: int, hi: int, K: int) -> _Block:
     return block
 
 
-def _block(q: int, K: int, peaks: bool) -> _Block:
-    """The block that serves q; a block of one q is built for the call and not kept."""
+def _block(q: int, K: int) -> _Block:
+    """The block that serves q, for q <= HEIGHT_Q_MAX; a block of one q is built for the call and not kept."""
+    if not 2 <= q <= HEIGHT_Q_MAX:
+        raise ValueError("q must lie in [2, 10^6]")
+    if K < 1:
+        raise ValueError("K must be >= 1")
     lo, hi = _block_span(q)
     K = min(K, hi - 1)  # no digit of p/q exceeds q, and a K past int64 would not fit _levels
     if hi - lo == 1:
-        return _build_block(lo, hi, K, peaks)
+        return _build_block(lo, hi, K)
     return _cached_block(lo, hi, K)
 
 
@@ -332,13 +336,10 @@ def members(q: int, K: int, strict: bool = False) -> np.ndarray:
     """Residues of q whose relaxed (or strict) level is at most K; chains end at a digit past K.
 
     The residues are read off the block of consecutive q that q lies in
-    (see the module docstring). The array returned is the caller's own.
+    (see the module docstring), so q must lie in [2, HEIGHT_Q_MAX] as for
+    height_bound_check. The array returned is the caller's own.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    block = _block(q, K, peaks=False)
+    block = _block(q, K)
     i = q - block.lo
     cut = slice(block.starts[i], block.starts[i + 1])
     return block.ps[cut][block.strict[cut]] if strict else block.ps[cut].copy()
@@ -410,22 +411,17 @@ def height_bound_check(q: int, K: int) -> HeightBoundReport:
     ln(q q_k / r_k) for each convergent (see lattice._excursions), so
     the maximum over the members is the least q_k r_k; ties go to the
     smallest p, then the earliest time. It is read off the block of
-    consecutive q that members serves q from (see the module docstring).
-    q is capped at HEIGHT_Q_MAX, since a block of one q runs all phi(q)
-    coprime pairs at once. A maximum above sqrt(2)*(K+1)^{3/2} raises
-    with the witness (p, t, ht); otherwise the report carries it.
+    consecutive q that members serves q from (see the module docstring),
+    which caps q at HEIGHT_Q_MAX. A maximum above sqrt(2)*(K+1)^{3/2}
+    raises with the witness (p, t, ht); otherwise the report carries it.
     """
-    if not 2 <= q <= HEIGHT_Q_MAX:
-        raise ValueError("q must lie in [2, 10^6]")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    block = _block(q, K)  # checks q and K first
     try:
         bound = math.sqrt(2.0) * (K + 1) ** 1.5
     except OverflowError:
         bound = math.inf
     if math.isinf(bound):
         raise ValueError(f"K={K}: the height bound sqrt(2)*(K+1)^(3/2) is not a finite float")
-    block = _block(q, K, peaks=True)
     start, stop = block.starts.item(q - block.lo), block.starts.item(q - block.lo + 1)
     if start == stop:
         return HeightBoundReport(q, K, bound, 0, 0.0, 0.0, 0)

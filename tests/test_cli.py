@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from cforbit.cli import (
     read_config_file,
     run,
 )
+from cforbit.stats import DEFAULT_BINS, haar_fd_histogram, orbit_fd_histogram
 from conftest import read_rows
 
 
@@ -46,6 +48,18 @@ def test_build_config_defaults_and_sentinels():
     assert cfg.t_max is None
     cfg = capture(["orbit", "--p", "2", "--q", "5", "--t-max", "1.5", "--threads", "1"])
     assert cfg.t_max == 1.5
+
+
+def test_cli_defaults_track_the_library_defaults():
+    def library_default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    fd_hist = _SUBCOMMANDS["fd-hist"].params
+    for name in ("dt", "grid", "sample_size"):
+        assert fd_hist[name] == library_default(orbit_fd_histogram, name), name
+    assert _SUBCOMMANDS["haar-selftest"].params["grid"] == library_default(haar_fd_histogram, "grid")
+    for sub in ("sweep-len", "sweep-digits"):
+        assert _SUBCOMMANDS[sub].params["bins"] == DEFAULT_BINS, sub
 
 
 def test_build_config_rejections():

@@ -68,7 +68,7 @@ def test_len_stats_exact_moments():
 
 
 def test_summary_rejects_impossible_mean():
-    dh = DigitHistogram(64, {1: 1}, 0)
+    dh = DigitHistogram({1: 1}, 0)
     with pytest.raises(ValueError):
         SweepSummary(5, 4, Fraction(10), Fraction(0), dh, 0.1)
 
@@ -103,7 +103,8 @@ def test_dispersion_values_and_monotonicity_in_delta():
 
 def test_digit_one_frequency_variants():
     assert digit_one_frequency(1009) == 0.3579867195194576
-    assert digit_one_frequency(1009, weighted=False) == 0.39255285579047017
+    digits = len_stats(1009).digit_hist
+    assert digits.counts[1] / digits.total == 0.39255285579047017
 
 
 def test_orbit_height_tail_value_and_validation():

@@ -130,6 +130,9 @@ def test_members_examples():
         members(1, 1)
     with pytest.raises(ValueError):
         members(5, 0)
+    # a q past the ceiling would be a block of one q, all phi(q) pairs at once
+    with pytest.raises(ValueError, match=r"q must lie in \[2, 10\^6\]"):
+        members(zaremba.HEIGHT_Q_MAX + 1, 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 10, 97, 360])
