@@ -147,12 +147,7 @@ def cfe_digits(x: ReducedFraction) -> CfeWord:
 
 def cfe_len(x: ReducedFraction) -> int:
     """Number of Gauss-map steps until 0; bounded by 2*log2(q)."""
-    a, b = x.q, x.p
-    n = 0
-    while b:
-        a, b = b, a % b
-        n += 1
-    return n
+    return len(cfe_digits(x).digits)
 
 
 def convergents(w: CfeWord) -> ConvergentList:

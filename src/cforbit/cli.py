@@ -427,17 +427,9 @@ def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Block]:
     q = _single_q(cfg)
     for M in cfg.M or ():
         r = mass_escape_count(q, M, cfg.t)
-        yield _one_row({
-            "q": r.q,
-            "M": r.M,
-            "t": r.t,
-            "count": r.count,
-            "bound": float(r.bound),
-            # the bound underflows to 0.0 only at a huge M, where the count is 0
-            "ratio": r.count / float(r.bound) if r.count else 0.0,
-            "in_hypothesis": r.in_hypothesis,
-            "escalations": r.escalations,
-        }), None
+        # the bound underflows to 0.0 only at a huge M, where the count is 0
+        ratio = r.count / float(r.bound) if r.count else 0.0
+        yield _one_row({**asdict(r), "bound": float(r.bound), "ratio": ratio}), None
 
 
 def _histogram_payload(h: FdHistogram) -> dict[str, object]:

@@ -39,13 +39,12 @@ def gauss_density(s: float) -> float:
 
 
 def measure_interval(i: Interval) -> float:
-    """log2((1+b)/(1+a)); exact-rational ratio is formed first when possible."""
-    if isinstance(i.a, Fraction) or isinstance(i.b, Fraction) or (
-        isinstance(i.a, int) and isinstance(i.b, int)
-    ):
-        ratio = (1 + Fraction(i.b)) / (1 + Fraction(i.a))
-        return math.log2(ratio)
-    return math.log2((1.0 + i.b) / (1.0 + i.a))
+    """log2((1+b)/(1+a)), the ratio rounded once for int and Fraction ends.
+
+    Float ends divide in floats, and so would a Fraction end with a float
+    end; no caller builds that mix (cylinder_interval returns Fractions).
+    """
+    return math.log2((1 + i.b) / (1 + i.a))
 
 
 def gauss_cdf(x: float) -> float:

@@ -70,23 +70,19 @@ def orbit_point(x: ReducedFraction, t: float) -> LatticeBasis:
     return LatticeBasis(np.array([[1.0 / e, (x.p / x.q) * e], [0.0, e]]))
 
 
-def _reduce_rows_float(m: np.ndarray) -> np.ndarray:
-    v1, v2 = m[0].copy(), m[1].copy()
+def reduce_basis(B: LatticeBasis) -> LatticeBasis:
+    """Same lattice, basis with v1 the shortest nonzero vector and |<v1,v2>| <= |v1|^2/2."""
+    if abs(abs(B.det()) - 1.0) > 1e-6:
+        raise LatticeError(f"basis is near-singular or far from unimodular: |det|={abs(B.det())}")
+    v1, v2 = B.m
     for _ in range(_MAX_REDUCE_IT):
         if v1 @ v1 > v2 @ v2:
             v1, v2 = v2, v1
         mu = round((v1 @ v2) / (v1 @ v1))
         if mu == 0:
-            return np.array([v1, v2])
+            return LatticeBasis(np.array([v1, v2]))
         v2 = v2 - mu * v1
     raise LatticeError("reduction did not terminate")
-
-
-def reduce_basis(B: LatticeBasis) -> LatticeBasis:
-    """Same lattice, basis with v1 the shortest nonzero vector and |<v1,v2>| <= |v1|^2/2."""
-    if abs(abs(B.det()) - 1.0) > 1e-6:
-        raise LatticeError(f"basis is near-singular or far from unimodular: |det|={abs(B.det())}")
-    return LatticeBasis(_reduce_rows_float(B.m))
 
 
 def height(B: LatticeBasis) -> float:
@@ -244,8 +240,6 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
     size = a.size
     ra, rb, rc, rd, fx, fy = (np.empty(size) for _ in range(6))
-    if not size:
-        return fx, fy
     col = np.arange(size)
     n1 = a * a + b * b
     n2 = c * c + d * d
@@ -286,7 +280,8 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
 def _excursions(q: int | np.ndarray, ps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The excursions of the orbits of p/q toward the cusp, one Euclid round at a time.
 
-    q is one denominator for every p in ps, or an int64 column of them.
+    q is one denominator for every p in ps, or an int64 column of them;
+    ps may be any integer column, and every yielded column is int64.
     Each round yields (idx, q_k, r_k, rem) over the live columns: the index
     of p in ps, the k-th continuant, the k-th Euclid divisor and remainder.
     The orbit vector (q_k e^{-t/2}, (r_k/q) e^{t/2}) is shortest at
@@ -298,6 +293,7 @@ def _excursions(q: int | np.ndarray, ps: np.ndarray) -> Iterator[tuple[np.ndarra
     until the next round; setting rem to 0 ends a column, as
     stats.mass_escape_count does once q_k alone is too long.
     """
+    ps = np.asarray(ps, dtype=np.int64)
     n = ps.size
     qs = np.full(n, q, dtype=np.int64)
     # q_{k+1} = d q_k + q_{k-1} is written over q_{k-1}, so the two carried

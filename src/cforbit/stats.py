@@ -345,7 +345,7 @@ def orbit_height_tail(x: ReducedFraction, M: float) -> float:
     Exact: the excursions above M are disjoint, and the one of the k-th
     convergent lasts 2 arccosh(q / (2 M^2 q_k r_k)) (see lattice._excursions).
     """
-    return float(_height_tails(x.q, np.array([x.p], dtype=np.int64), M)[0])
+    return float(_height_tails(x.q, np.array([x.p]), M)[0])
 
 
 def _residue_sample(q: int, sample_size: int, seed: int) -> np.ndarray:
@@ -385,7 +385,7 @@ def averaged_height_tail(q: int, M: float, sample_size: int = 2000, seed: int = 
     """
     qi = int(q)
     if qi >= 2 and sample_size >= (phi := euler_phi(qi)):
-        total = sum(_height_tails(qi, chunk.astype(np.int64), M).sum() for chunk in _residue_chunks(qi))
+        total = sum(_height_tails(qi, chunk, M).sum() for chunk in _residue_chunks(qi))
         return float(total / phi)
     # a bad q or an empty sample is refused by _residue_sample
     return float(np.mean(_height_tails(qi, _residue_sample(qi, sample_size, seed), M)))
@@ -461,8 +461,7 @@ def mass_escape_count(q: int, M: float, t: float, checked: bool = True) -> MassE
 
     phi = euler_phi(qi)
     count = lead_escalations = 0
-    for chunk in _residue_chunks(qi, qi // 2 + 1):
-        ps = chunk.astype(np.int64)  # int64 like every other column of _excursions
+    for ps in _residue_chunks(qi, qi // 2 + 1):
         if qi > 2 and 1.0 - inv_m2 <= 2 * tol:
             # the chain of q - p is p's behind (1, (q - p)/q), whose squared norm,
             # 2(q - p)/q or more, never counts, but an M this near 1 brings it into the margin

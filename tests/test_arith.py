@@ -1,10 +1,13 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cforbit
 from cforbit.arith import (
     Modulus,
     coprime_array,
@@ -146,3 +149,14 @@ def test_coprime_array_dtype_and_order():
     assert arr.dtype == np.int64
     assert arr[0] == 1 and arr[-1] == 360359
     assert np.all(np.diff(arr) > 0)
+
+
+def test_only_arith_runs_a_euclid_divmod():
+    # one Euclid kernel (arith._euclid_rounds): any other module's divmod call is a second loop
+    calls = {}
+    for path in sorted(Path(cforbit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # divmod(...) is a Name call, np.divmod(...) an Attribute call
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "divmod":
+                calls.setdefault(path.name, []).append(node.lineno)
+    assert set(calls) == {"arith.py"}, calls

@@ -378,6 +378,20 @@ def test_excursions_hand_on_the_live_columns_of_the_parking_kernel(qs, cap):
     assert _chains(column, ps) == _dropping_chains(column, ps, max(qs))
 
 
+@pytest.mark.parametrize("q", [2, 97, 360, 10007])
+def test_excursions_cast_any_integer_column_to_int64(q):
+    ps = coprime_array(q)
+    # (idx, q_k, r_k) of every round, copied: the kernel updates its columns in place
+    rounds64, rounds32 = (
+        [tuple(v.copy() for v in rnd[:3]) for rnd in _excursions(q, p)] for p in (ps, ps.astype(np.int32))
+    )
+    assert len(rounds32) == len(rounds64)
+    for got, want in zip(rounds32, rounds64):
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+
 def test_excursions_take_one_q_or_a_column():
     qs = (2, 7, 30, 101, 360)
     ps = [coprime_array(q) for q in qs]
