@@ -124,7 +124,9 @@ class ExperimentConfig:
     )
     threads: int = _param(
         _cast_int,
-        "thread count, recorded in the output (default: CFORBIT_THREADS or available parallelism)",
+        "worker threads for the sweeps and mass-escape, at most one per core and per chunk of"
+        " 2^15 residues; recorded in the output, no row depends on it"
+        " (default: CFORBIT_THREADS or available parallelism)",
         lambda v: v >= 1,
         "threads must be >= 1",
         factory=_default_threads,
@@ -366,7 +368,7 @@ def _run_cfe(cfg: ExperimentConfig) -> Iterator[Block]:
 
 def _run_sweep_len(cfg: ExperimentConfig) -> Iterator[Block]:
     for q in cfg.q or ():
-        s = len_stats(q, cfg.bins)
+        s = len_stats(q, cfg.bins, threads=cfg.threads)
         yield _one_row({
             "q": s.q,
             "phi": s.phi,
@@ -380,7 +382,7 @@ def _run_sweep_len(cfg: ExperimentConfig) -> Iterator[Block]:
 def _run_sweep_digits(cfg: ExperimentConfig) -> Iterator[Block]:
     # digit 0 stands for the overflow bucket (values above the cap)
     for q in cfg.q or ():
-        h = len_stats(q, cfg.bins).digit_hist
+        h = len_stats(q, cfg.bins, threads=cfg.threads).digit_hist
         digits = sorted(h.counts)
         counts = [h.counts[d] for d in digits]
         if h.overflow:
@@ -397,7 +399,8 @@ def _run_sweep_digits(cfg: ExperimentConfig) -> Iterator[Block]:
 
 def _run_dispersion(cfg: ExperimentConfig) -> Iterator[Block]:
     for q in cfg.q or ():
-        yield _one_row({"q": q, "delta": cfg.delta, "dispersion": dispersion(q, cfg.delta)}), None
+        d = dispersion(q, cfg.delta, threads=cfg.threads)
+        yield _one_row({"q": q, "delta": cfg.delta, "dispersion": d}), None
 
 
 def _run_orbit(cfg: ExperimentConfig) -> Iterator[Block]:
@@ -426,7 +429,7 @@ def _run_kappa(cfg: ExperimentConfig) -> Iterator[Block]:
 def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Block]:
     q = _single_q(cfg)
     for M in cfg.M or ():
-        r = mass_escape_count(q, M, cfg.t)
+        r = mass_escape_count(q, M, cfg.t, threads=cfg.threads)
         # the bound underflows to 0.0 only at a huge M, where the count is 0
         ratio = r.count / float(r.bound) if r.count else 0.0
         yield _one_row({**asdict(r), "bound": float(r.bound), "ratio": ratio}), None

@@ -8,8 +8,10 @@ the exact no-escape-of-mass counting bound.
 Full sweeps never hold all phi(q) residues at once. They build the
 coprime residues per chunk of 2^15 with the block sieve of arith and
 run Euclid rounds on int32 columns below q = 2^31 (int64 above), so
-memory is bounded whatever q is (under 2 MB traced for a sweep at the
-default binning, about 5 MB for the mass-escape count). They run the
+memory is bounded whatever q is (per worker, under 2 MB traced for a
+sweep at the default binning, about 5 MB for the mass-escape count).
+The sweeps and the mass-escape count split their chunks across up to
+`threads` workers, each with its own integer tallies. They run the
 one Euclid kernel, arith._euclid_rounds, which the census oracle of
 zaremba and the excursions of lattice run too. They keep integer
 tallies only: the length statistics read a histogram of len(p/q), not
@@ -42,16 +44,18 @@ on the chunking.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Optional, TypeVar
 
 import numpy as np
 
 from .arith import _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
-from .cfe import DigitHistogram, ReducedFraction, cfe_len
+from .cfe import DigitHistogram, ReducedFraction
 from .gaussmeasure import LN2, gauss_cdf
 from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
 
@@ -106,15 +110,19 @@ def ks_distance(e: EmpiricalMeasure) -> float:
 
 
 def nu_pq(x: ReducedFraction, bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
-    """The orbit measure of x: mass 1/len on each Gauss iterate, exact weights."""
-    n = cfe_len(x)
-    w = np.full(bins, Fraction(0), dtype=object)
-    atom = Fraction(1, n)
+    """The orbit measure of x: mass 1/len on each Gauss iterate, exact weights.
+
+    One walk of the Euclid chain counts the iterates per bin and the
+    length n, and each count c becomes the weight c/n.
+    """
+    counts = [0] * bins
+    n = 0
     a, b = x.q, x.p
     while b:
-        w[(b * bins) // a] += atom
+        counts[(b * bins) // a] += 1
+        n += 1
         a, b = b, a % b
-    return EmpiricalMeasure(uniform_edges(bins), w)
+    return EmpiricalMeasure(uniform_edges(bins), np.array([Fraction(c, n) for c in counts], dtype=object))
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,58 @@ def _residue_chunks(q: int, top: int | None = None) -> Iterator[np.ndarray]:
         chunk += lo
         yield chunk
         lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
+
+
+_T = TypeVar("_T")
+
+
+def _folded_pass(
+    q: int, phi: int, threads: int, work: Callable[[Callable[[], Optional[np.ndarray]]], _T]
+) -> list[_T]:
+    """Run work(pull) on each worker of a pass over the coprime p <= q/2; the results in worker order.
+
+    pull() hands out the next chunk of _residue_chunks(q, q // 2 + 1)
+    under a lock, and None once none is left, so the chunks stay streamed
+    and each goes to exactly one worker. There are min(threads, cpu
+    count, chunk count) workers, so a one-chunk pass (at most 2^15
+    residues p <= q/2, of which there are (phi + 1) // 2) starts no
+    thread. The calling thread is worker 0, and the others are started
+    threads, all joined before the first exception of any worker is
+    raised here. Each worker keeps its own tallies; the caller adds them
+    up, which gives the same integers in any order.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    chunks = _residue_chunks(q, q // 2 + 1)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def pull() -> Optional[np.ndarray]:
+        with lock:  # once a worker has failed, the others stop at their next chunk
+            return None if errors else next(chunks, None)
+
+    workers = min(threads, os.cpu_count() or 1, -(-((phi + 1) // 2) // _CHUNK))
+    results: list = [None] * workers
+
+    def run(i: int) -> None:
+        try:
+            results[i] = work(pull)
+        except BaseException as e:  # re-raised on the calling thread after the join
+            errors.append(e)
+
+    started = []
+    try:
+        for i in range(1, workers):
+            worker = threading.Thread(target=run, args=(i,))
+            worker.start()
+            started.append(worker)
+        run(0)
+    finally:
+        for worker in started:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _chunk_tallies(
@@ -233,8 +293,27 @@ def _weighted_means(tally: np.ndarray, phi: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _sweep(q: int, bins: int) -> _SweepData:
+def _keyed_on_q_bins(sweep: Callable[[int, int, int], _SweepData]) -> Callable[..., _SweepData]:
+    """Keep the last 16 (q, bins) results of sweep(q, bins, threads), whatever threads computed them.
+
+    The thread count changes no bit of a sweep, so it is no part of the
+    key: an entry computed on two threads serves a call on one. Each
+    (q, bins) holds a slot in an lru_cache, filled by its first sweep.
+    """
+    slots = functools.lru_cache(maxsize=16)(lambda q, bins: [])
+
+    @functools.wraps(sweep)
+    def cached(q: int, bins: int, threads: int = 1) -> _SweepData:
+        slot = slots(q, bins)
+        if not slot:
+            slot.append(sweep(q, bins, threads))
+        return slot[0]
+
+    return cached
+
+
+@_keyed_on_q_bins
+def _sweep(q: int, bins: int, threads: int = 1) -> _SweepData:
     """Integer tallies of one full sweep over the coprime p, rounded once at the end.
 
     The residues p <= q/2 come per chunk of 2^15 (_residue_chunks), each
@@ -242,14 +321,18 @@ def _sweep(q: int, bins: int) -> _SweepData:
     length is known only once it ends, and each of its rounds is counted
     against that length. Each mirror q - p is counted with its p: its
     Euclid chain is p's behind two leading rounds, so half the residues
-    give every tally exactly. The int64 tallies do not depend on how the
-    residues are grouped, so nu_bar's weight of bin j, sum_n T[n, j] / (n phi),
-    and the weighted digit-1 frequency, sum_n D[n, 1] / (n phi), are
-    exact rationals, each rounded once (_weighted_means). The products
-    b * bins and n * bins are int32 while both stay below 2^31 and int64
-    above; a (q, bins) whose bin index could pass the int64 ceiling is
-    refused up front. The (length, bin) tally holds 8 (1.5 log2 q + 2) bins bytes
-    while the sweep runs (about 64 KB at the default binning at q = 10^6).
+    give every tally exactly. The chunks are split across up to `threads`
+    workers (_folded_pass), each with its own tallies, which are added
+    up after the join. The int64 tallies do not depend on how the
+    residues are grouped or which worker took them, so nu_bar's weight of
+    bin j, sum_n T[n, j] / (n phi), and the weighted digit-1 frequency,
+    sum_n D[n, 1] / (n phi), are exact rationals, each rounded once
+    (_weighted_means), and the bits do not depend on the thread count.
+    The products b * bins and n * bins are int32 while both stay below
+    2^31 and int64 above; a (q, bins) whose bin index could pass the int64
+    ceiling is refused up front. Each worker's (length, bin) tally holds
+    8 (1.5 log2 q + 2) bins bytes while the sweep runs (about 64 KB at the
+    default binning at q = 10^6, 16 MiB at 2^16 bins).
 
     An entry holds the rounded weights and the integer histograms only
     (about 3 KB at the default binning), so the cache can keep every
@@ -264,16 +347,25 @@ def _sweep(q: int, bins: int) -> _SweepData:
     # Lame's theorem: n rounds from q need q >= F_{n+2} >= golden^n, so n < 1.45 log2 q
     # and no length reaches the last row, where ended columns park
     rows = q.bit_length() * 3 // 2 + 2
-    len_counts = np.zeros(rows, dtype=np.int64)
-    bin_tally = np.zeros((rows, bins), dtype=np.int64)
-    digit_tally = np.zeros((rows, DIGIT_CAP + 2), dtype=np.int64)
-    shared_digits = np.zeros_like(digit_tally)
-    for chunk in _residue_chunks(q, q // 2 + 1):
-        _chunk_tallies(q, chunk, len_counts, bin_tally, digit_tally, shared_digits)
+
+    def tallies(pull: Callable[[], Optional[np.ndarray]]) -> tuple[np.ndarray, ...]:
+        len_counts = np.zeros(rows, dtype=np.int64)
+        bin_tally = np.zeros((rows, bins), dtype=np.int64)
+        digit_tally = np.zeros((rows, DIGIT_CAP + 2), dtype=np.int64)
+        shared_digits = np.zeros_like(digit_tally)
+        while (chunk := pull()) is not None:
+            _chunk_tallies(q, chunk, len_counts, bin_tally, digit_tally, shared_digits)
+        return len_counts, bin_tally, digit_tally, shared_digits
+
+    phi = euler_phi(q)
+    mine, *others = _folded_pass(q, phi, threads, tallies)
+    for theirs in others:
+        for total, part in zip(mine, theirs):
+            total += part
+    len_counts, bin_tally, digit_tally, shared_digits = mine
     digit_tally += shared_digits
     digit_tally[1:] += shared_digits[:-1]
     bin_tally[-1] = digit_tally[-1] = 0  # the parked rounds
-    phi = int(len_counts.sum())
     nu = _weighted_means(bin_tally, phi)
     digit1 = float(_weighted_means(digit_tally[:, 1:2], phi)[0])
     return _SweepData(phi, len_counts, digit_tally[1:].sum(axis=0), nu, digit1)
@@ -298,10 +390,14 @@ class SweepSummary:
             raise ValueError("mean_len exceeds the 2 log2 q ceiling")
 
 
-def len_stats(q: int, bins: int = DEFAULT_BINS) -> SweepSummary:
-    """Exact mean and variance of len(p/q) over coprime p, with the digit census of the sweep."""
+def len_stats(q: int, bins: int = DEFAULT_BINS, *, threads: int = 1) -> SweepSummary:
+    """Exact mean and variance of len(p/q) over coprime p, with the digit census of the sweep.
+
+    threads caps the workers the sweep's chunks are split across; the
+    result does not depend on it.
+    """
     qi = int(q)
-    sd = _sweep(qi, bins)
+    sd = _sweep(qi, bins, threads)
     mean = Fraction(sd.len_moment(1), sd.phi)
     var = Fraction(sd.len_moment(2), sd.phi) - mean * mean
     counts = {d: int(sd.digit_counts[d]) for d in range(1, DIGIT_CAP + 1) if sd.digit_counts[d]}
@@ -310,12 +406,15 @@ def len_stats(q: int, bins: int = DEFAULT_BINS) -> SweepSummary:
     return SweepSummary(qi, sd.phi, mean, var, dh, ks)
 
 
-def dispersion(q: int, delta: float) -> float:
-    """Fraction of residues whose len/(2 ln q) misses the limit constant by more than delta."""
+def dispersion(q: int, delta: float, *, threads: int = 1) -> float:
+    """Fraction of residues whose len/(2 ln q) misses the limit constant by more than delta.
+
+    threads caps the sweep's workers, as in len_stats.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     qi = int(q)
-    sd = _sweep(qi, DEFAULT_BINS)
+    sd = _sweep(qi, DEFAULT_BINS, threads)
     ratios = np.arange(sd.len_counts.size, dtype=np.float64) / (2.0 * math.log(qi))
     return int(sd.len_counts[np.abs(ratios - LEN_RATE) > delta].sum()) / sd.phi
 
@@ -414,7 +513,9 @@ class MassEscapeReport:
     escalations: int
 
 
-def mass_escape_count(q: int, M: float, t: float, checked: bool = True) -> MassEscapeReport:
+def mass_escape_count(
+    q: int, M: float, t: float, checked: bool = True, *, threads: int = 1
+) -> MassEscapeReport:
     """Exact count of residues p whose orbit lattice at time t holds a vector of norm <= 1/M.
 
     Only convergent vectors (q_k, r_k/q) can be that short (see
@@ -431,7 +532,12 @@ def mass_escape_count(q: int, M: float, t: float, checked: bool = True) -> MassE
     vector's own margin hits (possible past q = 2^40, with M near 1) are
     added apart. The residues are taken per chunk of _residue_chunks,
     one Euclid run each, so memory is bounded whatever q is (about 5 MB
-    traced).
+    traced). The chunks are split across up to `threads` workers
+    (_folded_pass), each with its own count and escalations. A worker
+    does not decide its margin hits: it keeps each as (q_k, r_k, p) while
+    p is not counted otherwise, and the calling thread decides them in 50
+    digits after the join, since mpmath's precision is one global
+    setting. So the report does not depend on the thread count.
     """
     qi = int(q)
     if qi < 2:
@@ -450,7 +556,9 @@ def mass_escape_count(q: int, M: float, t: float, checked: bool = True) -> MassE
     emt = math.exp(-t)
     ept = math.exp(t) if t <= 709.0 else math.inf  # past 709 only (q, 0) can be short
     tol = 2.0**-40 * inv_m2
-    escalations = 0
+    # the chain of q - p is p's behind (1, (q - p)/q), whose squared norm,
+    # 2(q - p)/q or more, never counts, but an M this near 1 brings it into the margin
+    lead_in_margin = qi > 2 and 1.0 - inv_m2 <= 2 * tol
 
     def exact(m: int, r: int) -> bool:
         import mpmath  # only a margin hit needs it, so import cforbit does not load it
@@ -459,28 +567,35 @@ def mass_escape_count(q: int, M: float, t: float, checked: bool = True) -> MassE
             lhs = m * m * mpmath.exp(-t) + (mpmath.mpf(r) / qi) ** 2 * mpmath.exp(t)
             return lhs <= 1 / mpmath.mpf(M) ** 2
 
+    def escapes(pull: Callable[[], Optional[np.ndarray]]) -> tuple[int, int, int, list]:
+        count = escalations = lead_escalations = 0
+        pending: list[tuple[int, int, int]] = []  # (q_k, r_k, p) margin hits of uncounted p
+        while (ps := pull()) is not None:
+            if lead_in_margin:
+                lead = emt + ((qi - ps) / qi) ** 2 * ept - inv_m2
+                lead_escalations += int(np.count_nonzero(np.abs(lead) <= tol))
+            hit = np.zeros(ps.size, dtype=bool)
+            near_hits: list[tuple[int, int, int]] = []
+            for idx, qk, rk, rem in _excursions(qi, ps):
+                # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
+                # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
+                head = np.square(qk, dtype=np.float64) * emt
+                gap = head + (rk / qi) ** 2 * ept - inv_m2
+                hit[idx[gap < -tol]] = True
+                near = np.flatnonzero(np.abs(gap) <= tol)
+                escalations += near.size
+                near_hits += zip(qk[near].tolist(), rk[near].tolist(), idx[near].tolist())
+                # later convergents have larger q_k, so none of them can be short
+                rem[head - inv_m2 > tol] = 0
+            count += int(np.count_nonzero(hit))
+            pending += ((m, r, int(ps[i])) for m, r, i in near_hits if not hit[i])
+        return count, escalations, lead_escalations, pending
+
     phi = euler_phi(qi)
-    count = lead_escalations = 0
-    for ps in _residue_chunks(qi, qi // 2 + 1):
-        if qi > 2 and 1.0 - inv_m2 <= 2 * tol:
-            # the chain of q - p is p's behind (1, (q - p)/q), whose squared norm,
-            # 2(q - p)/q or more, never counts, but an M this near 1 brings it into the margin
-            lead = emt + ((qi - ps) / qi) ** 2 * ept - inv_m2
-            lead_escalations += int(np.count_nonzero(np.abs(lead) <= tol))
-        hit = np.zeros(ps.size, dtype=bool)
-        for idx, qk, rk, rem in _excursions(qi, ps):
-            # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
-            # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
-            head = np.square(qk, dtype=np.float64) * emt
-            gap = head + (rk / qi) ** 2 * ept - inv_m2
-            hit[idx[gap < -tol]] = True
-            near = np.flatnonzero(np.abs(gap) <= tol)
-            escalations += near.size
-            for i in near:
-                hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
-            # later convergents have larger q_k, so none of them can be short
-            rem[head - inv_m2 > tol] = 0
-        count += int(np.count_nonzero(hit))
+    counts, escalated, lead_escalated, pending = zip(*_folded_pass(qi, phi, threads, escapes))
+    count, escalations, lead_escalations = sum(counts), sum(escalated), sum(lead_escalated)
+    # a residue counts once, however many of its vectors the 50 digits find short
+    count += len({p for hits in pending for m, r, p in hits if exact(m, r)})
     # q - p counts and escalates as p does; the one residue of q = 2 is its own mirror
     fold = 2 if qi > 2 else 1
     count, escalations = fold * count, fold * escalations + lead_escalations

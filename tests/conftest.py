@@ -1,6 +1,8 @@
 import json
 import math
+import threading
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from cforbit.cfe import ReducedFraction
@@ -46,3 +48,19 @@ def _cell(text: str) -> object:
         return json.loads(text)
     except ValueError:
         return text
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started during the test, in order; a ninth start is refused, so no test starts thousands."""
+    asked = []
+    start = threading.Thread.start
+
+    def counted_start(self):
+        asked.append(self)
+        if len(asked) > 8:
+            raise AssertionError("more than 8 threads asked for")
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return asked

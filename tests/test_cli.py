@@ -3,11 +3,12 @@ import inspect
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cforbit import __version__, zaremba
+from cforbit import __version__, stats, zaremba
 from cforbit.arith import euler_phi
 from cforbit.cli import (
     _SUBCOMMANDS,
@@ -243,6 +244,36 @@ def test_census_is_thread_count_invariant(capsys):
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
     assert strip(single) == strip(multi)
     assert single.splitlines()[2] != multi.splitlines()[2]
+
+
+def _rows(text):
+    return [line for line in text.splitlines() if not line.startswith("# config ")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-len", "--q", "1009,100003,500009"],
+    ["sweep-digits", "--q", "100003,500009"],
+    ["dispersion", "--q", "100003,500009"],
+    ["mass-escape", "--q", "1000003", "--M", "2,5", "--t", "3"],
+])
+def test_threads_change_no_row(argv, monkeypatch):
+    # every sweep is computed, not served by the cache, and two workers start on any machine
+    monkeypatch.setattr(stats, "_sweep", stats._sweep.__wrapped__)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    single, double = (emit_text(argv + ["--threads", n]) for n in ("1", "2"))
+    assert _rows(single) == _rows(double)
+    assert single != double  # the config line echoes the thread count
+
+
+def test_a_huge_thread_count_starts_one_thread_per_extra_chunk(monkeypatch, thread_starts):
+    # 1009 sweeps in one chunk and 100003 in two, so the one thread started is
+    # the second worker of 100003
+    monkeypatch.setattr(stats, "_sweep", stats._sweep.__wrapped__)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    argv = ["sweep-len", "--q", "1009,100003"]
+    huge = emit_text(argv + ["--threads", "1000000"])
+    assert len(thread_starts) == 1
+    assert _rows(huge) == _rows(emit_text(argv + ["--threads", "1"]))
 
 
 def test_census_branches_stop_at_q_max(capsys):

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -210,7 +212,8 @@ def test_mass_escape_count_matches_brute_force():
             assert rep.count == euler_phi(q)
 
 
-def test_mass_escape_escalates_on_the_threshold():
+def _threshold_cases():
+    """(M, t, escalations) at q = 97 where orbit vectors have norm 1/M up to float error."""
     # 35/97 and 62/97 hold the convergent vector (q_k, r_k/q) = (3, 8/97);
     # at e^t = u, a root of (r_k/q)^2 u^2 - u/M^2 + q_k^2 = 0, its norm is
     # 1/M up to float error, so both residues escalate to 50 digits; at the
@@ -222,7 +225,12 @@ def test_mass_escape_escalates_on_the_threshold():
         cases.append((M, math.log((b - math.sqrt(b * b - 4 * a * qk * qk)) / (2 * a)), 2))
     # at t = 2 ln(qM) the last vector (q, 0) of every residue has norm 1/M
     cases.append((2.0, 2 * math.log(q * 2.0), q - 1))
-    for M, t, escalations in cases:
+    return cases
+
+
+def test_mass_escape_escalates_on_the_threshold():
+    q = 97
+    for M, t, escalations in _threshold_cases():
         rep = mass_escape_count(q, M, t, checked=False)
         assert rep.escalations == escalations
         with mpmath.workdps(50):
@@ -299,6 +307,31 @@ def test_mass_escape_counts_do_not_depend_on_the_chunk(monkeypatch):
     assert want[-1] == (96, 96)
     monkeypatch.setattr(stats, "_CHUNK", 7)
     assert [(r.count, r.escalations) for r in (mass_escape_count(*d) for d in draws)] == want
+
+
+@pytest.mark.parametrize("threads", (2, 3))
+def test_mass_escape_counts_do_not_depend_on_the_thread_count(threads, monkeypatch):
+    # chunks of 97 residues (7 at q = 97), so the workers share the draws' chunks and
+    # margin hits; the 50-digit checks must all run on the calling thread
+    want = [(r.count, r.escalations) for r in (mass_escape_count(97, M, t, False) for M, t, _ in _threshold_cases())]
+    assert [e for _, e in want] == [e for _, _, e in _threshold_cases()]
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    workdps, checked_on = mpmath.workdps, set()
+
+    def recorded_workdps(n):
+        checked_on.add(threading.current_thread())
+        return workdps(n)
+
+    monkeypatch.setattr(mpmath, "workdps", recorded_workdps)
+    monkeypatch.setattr(stats, "_CHUNK", 7)
+    reports = (mass_escape_count(97, M, t, False, threads=threads) for M, t, _ in _threshold_cases())
+    assert [(r.count, r.escalations) for r in reports] == want
+    monkeypatch.setattr(stats, "_CHUNK", 97)
+    for draws, checked, sha in FROZEN_ESCAPE.values():
+        reports = (mass_escape_count(q, M, t, checked, threads=threads) for q, M, t in draws())
+        got = [(r.count, r.escalations) for r in reports]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == sha
+    assert checked_on == {threading.current_thread()}
 
 
 def test_mass_escape_squares_continuants_without_wrapping(monkeypatch):

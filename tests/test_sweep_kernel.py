@@ -10,6 +10,7 @@ CLI output.
 """
 import hashlib
 import math
+import os
 import tracemalloc
 import warnings
 from collections import Counter
@@ -187,8 +188,8 @@ def _dropping_rounds(a, b, carry):
         a, b, carry = b[keep], r[keep], carry[keep]
 
 
-def _sweep_bits(q, bins):
-    sd = _sweep.__wrapped__(q, bins)
+def _sweep_bits(q, bins, threads=1):
+    sd = _sweep.__wrapped__(q, bins, threads)
     arrays = (sd.nu, sd.len_counts, sd.digit_counts)
     return (*((a.dtype.str, a.tobytes()) for a in arrays), repr(sd.digit1))
 
@@ -203,6 +204,71 @@ def test_sweep_does_not_depend_on_the_chunk(q, bins):
             mp.setattr(stats, "_CHUNK", chunk)
             bits.append(_sweep_bits(q, bins))
     assert bits[0] == bits[1] == bits[2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.integers(min_value=3, max_value=20000), bins=st.sampled_from((1, 7, 64, 256)))
+def test_sweep_does_not_depend_on_the_thread_count(q, bins):
+    # chunks of 97 residues, so up to about a hundred of them go to three workers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_CHUNK", 97)
+        mp.setattr(os, "cpu_count", lambda: 8)
+        assert _sweep_bits(q, bins, 3) == _sweep_bits(q, bins, 1)
+
+
+@pytest.mark.parametrize("threads", (2, 3))
+def test_frozen_sweeps_hold_on_more_threads(threads, monkeypatch):
+    # at one thread the frozen tests above hold them; more cores than workers here, so
+    # the workers start on any machine, and every sweep is computed, not read from the cache
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(stats, "_sweep", lambda q, bins, _=1: _sweep.__wrapped__(q, bins, threads))
+    for q, want in FROZEN_CHUNKED.items():
+        sd = stats._sweep(q, DEFAULT_BINS)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (sd.nu, sd.len_counts, sd.digit_counts))
+        assert (*digests, repr(sd.digit1)) == want
+    for (q, bins), (weights_sha, digits_sha) in FROZEN_BITS.items():
+        assert hashlib.sha256(nu_bar(q, bins).weights.tobytes()).hexdigest() == weights_sha
+        s = len_stats(q, bins)
+        digits = repr((sorted(s.digit_hist.counts.items()), s.digit_hist.overflow))
+        assert hashlib.sha256(digits.encode()).hexdigest() == digits_sha
+        mean, var, total, overflow = FROZEN_MOMENTS[q]
+        assert (str(s.mean_len), str(s.var_len)) == (mean, var)
+        assert (s.digit_hist.total, s.digit_hist.overflow) == (total, overflow)
+
+
+def test_workers_are_bounded_by_the_cores_and_the_chunks(monkeypatch, thread_starts):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = _sweep_bits(1000003, 64)  # 16 chunks
+    assert _sweep_bits(1000003, 64, 10**6) == want and len(thread_starts) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _sweep_bits(1000003, 64, 10**6) == want and len(thread_starts) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _sweep_bits(65537, 64, 10**6)  # phi / 2 = 2^15 residues, one chunk
+    _sweep_bits(65539, 64, 10**6)  # one residue more, two chunks
+    assert len(thread_starts) == 2
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        _sweep.__wrapped__(1009, 64, 0)
+
+
+def test_a_worker_error_is_raised_after_the_join(monkeypatch, thread_starts):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    tally = stats._chunk_tallies
+
+    def failing(q, chunk, *tallies):
+        if chunk[0] > 1:
+            raise MemoryError("second chunk")
+        tally(q, chunk, *tallies)
+
+    monkeypatch.setattr(stats, "_chunk_tallies", failing)
+    with pytest.raises(MemoryError, match="second chunk"):
+        _sweep.__wrapped__(100003, 64, 2)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+
+def test_sweep_cache_does_not_key_on_the_thread_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    sd = _sweep(100019, 5, 2)
+    assert _sweep(100019, 5, 1) is sd and _sweep(100019, 5) is sd
 
 
 # one chunk each; (q - 1) * 2^18 passes 2^31, so the last case takes the int64 bin index
@@ -376,10 +442,10 @@ def test_sweep_refuses_bin_indices_past_the_int64_ceiling():
         len_stats(2**55 + 1)  # (q - 1) * 256 is exactly 2^63
 
 
-def _traced_sweep_peak(q, bins):
+def _traced_sweep_peak(q, bins, threads=1):
     tracemalloc.start()
     try:
-        _sweep.__wrapped__(q, bins)
+        _sweep.__wrapped__(q, bins, threads)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,6 +460,14 @@ def test_sweep_traced_peak_is_bounded():
     # at this q whole 2^18-column chunks peaked at 12.3 MiB traced, 2^15-column slices
     # of them with per-round float sums at 5.05 MiB, integer tallies at about 1.6 MiB
     peak = _traced_sweep_peak(10**6 + 3, DEFAULT_BINS)
+    assert peak <= 4 * 2**20, peak
+
+
+def test_two_thread_sweep_traced_peak_is_bounded(monkeypatch, thread_starts):
+    # each worker holds its own tallies and one chunk's columns: 3.2 MiB against 1.6 on one thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    peak = _traced_sweep_peak(10**6 + 3, DEFAULT_BINS, 2)
+    assert len(thread_starts) == 1
     assert peak <= 4 * 2**20, peak
 
 
