@@ -56,18 +56,10 @@ from .gaussmeasure import (
     measure_interval,
 )
 from .lattice import (
-    LatticeBasis,
     LatticeError,
     SymmetryError,
-    dual_point,
     haar_fd_sample,
-    haar_sample,
-    height,
-    orbit_point,
     orbit_samples,
-    reduce_basis,
-    shape_point,
-    to_fundamental_domain,
     verify_symmetry,
 )
 from .stats import (

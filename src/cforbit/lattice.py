@@ -1,19 +1,17 @@
-"""Unimodular 2D lattices: orbit points, reduction, height, duality,
-fundamental-domain mapping, and Haar sampling.
+"""Unimodular 2D lattices: orbit points in the fundamental domain, the
+exact duality witness, excursions toward the cusp, and Haar sampling.
 
 A lattice is the integer row span of a 2x2 basis with |det| = 1. The
 orbit of a rational x is t -> span of rows (e^{-t/2}, x e^{t/2}) and
 (0, e^{t/2}); it lives near the compact part only for t in [0, 2 ln q].
 Height is the reciprocal of the shortest nonzero vector length
-(Euclidean norm throughout). Excursions toward the cusp are read off
-the Euclid chain of p/q, run by arith._euclid_rounds, the one kernel.
+(Euclidean norm throughout). Orbit points go through one float64 array
+kernel, _fd_points. Excursions toward the cusp are read off the Euclid
+chain of p/q, run by arith._euclid_rounds, the one kernel.
 """
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -39,69 +37,6 @@ class SymmetryError(LatticeError):
     def __init__(self, message: str, residual: Optional[ExactMatrix] = None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Row-major 2x2 float basis."""
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.m, dtype=np.float64)
-        if arr.shape != (2, 2):
-            raise ValueError("basis must be 2x2")
-        object.__setattr__(self, "m", arr)
-        if abs(abs(self.det()) - 1.0) > 1e-10:
-            raise ValueError(f"|det| = {abs(self.det())}, need 1 within 1e-10")
-
-    def det(self) -> float:
-        return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-
-def orbit_point(x: ReducedFraction, t: float) -> LatticeBasis:
-    """Basis of the lattice spanned by (e^{-t/2}, x e^{t/2}) and (0, e^{t/2})."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    span = 2.0 * math.log(x.q)
-    if t < -100.0 or t > span + 100.0:
-        warnings.warn(f"t={t} is far outside the lifespan [0, {span:.3f}] of {x}", stacklevel=2)
-    e = math.exp(t / 2.0)
-    return LatticeBasis(np.array([[1.0 / e, (x.p / x.q) * e], [0.0, e]]))
-
-
-def reduce_basis(B: LatticeBasis) -> LatticeBasis:
-    """Same lattice, basis with v1 the shortest nonzero vector and |<v1,v2>| <= |v1|^2/2."""
-    if abs(abs(B.det()) - 1.0) > 1e-6:
-        raise LatticeError(f"basis is near-singular or far from unimodular: |det|={abs(B.det())}")
-    v1, v2 = B.m
-    for _ in range(_MAX_REDUCE_IT):
-        if v1 @ v1 > v2 @ v2:
-            v1, v2 = v2, v1
-        mu = round((v1 @ v2) / (v1 @ v1))
-        if mu == 0:
-            return LatticeBasis(np.array([v1, v2]))
-        v2 = v2 - mu * v1
-    raise LatticeError("reduction did not terminate")
-
-
-def height(B: LatticeBasis) -> float:
-    """1 / (shortest nonzero vector length).
-
-    For unimodular lattices this is at least (3/4)^(1/4) ~ 0.9306, with
-    the hexagonal lattice extremal; it equals sqrt(y) of the
-    fundamental-domain point.
-    """
-    R = reduce_basis(B)
-    return 1.0 / math.sqrt(float(R.m[0] @ R.m[0]))
-
-
-def dual_point(B: LatticeBasis) -> LatticeBasis:
-    """Transpose of the inverse basis: the dual lattice."""
-    a, b = B.m[0]
-    c, d = B.m[1]
-    det = B.det()
-    return LatticeBasis(np.array([[d, -c], [-b, a]]) / det)
 
 
 def verify_symmetry(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -138,46 +73,6 @@ def verify_symmetry(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
         )
         raise SymmetryError(f"duality identity failed for p={p}, q={q}", residual)
     return gamma
-
-
-def shape_point(B: LatticeBasis) -> complex:
-    """Upper-half-plane shape v2/v1 of an oriented representative of the lattice."""
-    m = B.m if B.det() > 0 else B.m[::-1]
-    v1 = complex(m[0, 0], m[0, 1])
-    v2 = complex(m[1, 0], m[1, 1])
-    z = v2 / v1
-    if z.imag <= 0:
-        raise LatticeError("degenerate shape")
-    return z
-
-
-def to_fundamental_domain(B: LatticeBasis) -> tuple[float, float, str]:
-    """Map the lattice shape into {|x| <= 1/2, x^2 + y^2 >= 1}.
-
-    Returns (x, y, word); the word lists the moves applied ("T{n}" is
-    x -> x - n, "S" is z -> -1/z). Boundary ties go to x = -1/2 and the
-    left arc. For interior points y equals height(B)^2.
-    """
-    z = shape_point(reduce_basis(B))
-    word = []
-    for _ in range(10000):
-        n = math.floor(z.real + 0.5)
-        if n != 0:
-            z -= n
-            word.append(f"T{n}")
-        r2 = z.real * z.real + z.imag * z.imag
-        if r2 < 1.0 - 1e-15:
-            z = -1.0 / z
-            word.append("S")
-            continue
-        if r2 <= 1.0 + 1e-15 and z.real > 0:
-            z = -1.0 / z
-            word.append("S")
-        if z.real == 0.5:
-            z -= 1
-            word.append("T1")
-        return z.real, z.imag, " ".join(word)
-    raise LatticeError("fundamental-domain reduction did not terminate")
 
 
 def _swap_rows(m: np.ndarray, a, b, c, d) -> tuple[np.ndarray, ...]:
@@ -230,12 +125,17 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     """Fundamental-domain points (x, y) of the lattices with rows (a, b), (c, d), one per column.
 
     The arguments broadcast to one shape and the results come out flat.
-    Each column goes through the float operations of a scalar Gauss
-    reduction (round half to even) and the walk of _fd_rounds, in the
-    same order, so its result does not depend on the batch it runs in.
-    Finished columns are dropped by a keep mask after every round. Its
-    callers are orbit_samples and stats.orbit_fd_histogram; the crossing
-    detector walks with _fd_words.
+    Each column is Gauss-reduced: the shorter row, times the projection
+    of the other onto it rounded half to even, is taken from the longer
+    until that projection rounds to 0. The pair is then oriented and its
+    shape walked by _fd_rounds into {|x| <= 1/2, x^2 + y^2 >= 1}.
+    Boundary ties go to x = -1/2 (a computed x of exactly 1/2) and to the
+    left arc (x^2 + y^2 within 1e-15 of 1). y is the squared height, so
+    at least sqrt(3)/2, the hexagonal lattice's. Every column takes the
+    same float operations in the same order, so its result does not
+    depend on the batch it runs in. Finished columns are dropped by a
+    keep mask after every round. Its callers are orbit_samples and
+    stats.orbit_fd_histogram; the crossing detector walks with _fd_words.
     """
     a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
     size = a.size
@@ -331,16 +231,6 @@ def haar_fd_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     x = np.concatenate(xs)[:n]
     y = np.concatenate(ys)[:n]
     return x, y
-
-
-def haar_sample(rng: np.random.Generator) -> LatticeBasis:
-    """One Haar-distributed lattice: random fundamental-domain shape, random frame angle."""
-    x, y = haar_fd_sample(rng, 1)
-    xf, yf = float(x[0]), float(y[0])
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    w1 = cmath.rect(1.0 / math.sqrt(yf), theta)
-    w2 = complex(xf, yf) * w1
-    return LatticeBasis(np.array([[w1.real, w1.imag], [w2.real, w2.imag]]))
 
 
 def orbit_samples(

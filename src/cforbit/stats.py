@@ -706,7 +706,7 @@ def orbit_fd_histogram(
 
 
 def haar_fd_histogram(rng: np.random.Generator, n: int, grid: int = 24) -> FdHistogram:
-    """Reference histogram of haar_sample points on the same cells."""
+    """Reference histogram of haar_fd_sample points on the same cells."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     xs, ys = haar_fd_sample(rng, n)

@@ -1,9 +1,10 @@
 """Frozen bits of the fundamental-domain float path.
 
-The digests below were taken from the scalar reduction that preceded the
-array kernel: the points of a seeded set of orbit lattices plus boundary
-ties, and the fd-hist weights at criterion 07's moduli. Any change in
-the order of the float operations shows up here as a changed digest.
+The digests below were taken from the scalar reduction, since removed,
+that preceded the array kernel: the points of a seeded set of orbit
+lattices plus boundary ties, and the fd-hist weights at criterion 07's
+moduli. Any change in the order of the float operations shows up here
+as a changed digest.
 """
 import hashlib
 import math

@@ -10,21 +10,13 @@ from hypothesis import given, strategies as st
 from cforbit.arith import coprime_array
 from cforbit.cfe import ReducedFraction, cfe_digits
 from cforbit.lattice import (
-    LatticeBasis,
     LatticeError,
     SymmetryError,
     _excursions,
     _fd_points,
     _fd_words,
-    dual_point,
     haar_fd_sample,
-    haar_sample,
-    height,
-    orbit_point,
     orbit_samples,
-    reduce_basis,
-    shape_point,
-    to_fundamental_domain,
     verify_symmetry,
 )
 from conftest import reduced_fractions
@@ -32,9 +24,30 @@ from conftest import reduced_fractions
 HEIGHT_FLOOR = (3 / 4) ** 0.25  # hexagonal lattice, the extremal case
 
 
-def hexagonal_basis() -> LatticeBasis:
-    a = math.sqrt(2 / math.sqrt(3))
-    return LatticeBasis(np.array([[a, 0.0], [a / 2, a * math.sqrt(3) / 2]]))
+def exact_fd_point(p: int, q: int, t: float, dps: int = 60) -> tuple[float, float]:
+    """Fundamental-domain point of the orbit of p/q at time t, reduced and walked in dps digits."""
+    with mpmath.workdps(dps):
+        e = mpmath.exp(mpmath.mpf(t) / 2)
+        v1, v2 = (1 / e, mpmath.mpf(p) / q * e), (mpmath.mpf(0), e)
+
+        def dot(a, b):
+            return a[0] * b[0] + a[1] * b[1]
+
+        while True:
+            if dot(v1, v1) > dot(v2, v2):
+                v1, v2 = v2, v1
+            mu = mpmath.nint(dot(v1, v2) / dot(v1, v1))
+            if mu == 0:
+                break
+            v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
+        if v1[0] * v2[1] - v1[1] * v2[0] < 0:
+            v1, v2 = v2, v1
+        z = mpmath.mpc(*v2) / mpmath.mpc(*v1)
+        while True:
+            z -= mpmath.nint(z.real)
+            if abs(z) >= 1:
+                return float(z.real), float(z.imag)
+            z = -1 / z
 
 
 def away_from_ties(gx: float, gy: float) -> bool:
@@ -42,128 +55,75 @@ def away_from_ties(gx: float, gy: float) -> bool:
     return abs(abs(gx) - 0.5) > 1e-7 and abs(gx * gx + gy * gy - 1) > 1e-7
 
 
-def test_basis_validation():
-    with pytest.raises(ValueError):
-        LatticeBasis(np.eye(3))
-    with pytest.raises(ValueError):
-        LatticeBasis(np.array([[2.0, 0.0], [0.0, 1.0]]))
+def orbit_fd_points(p, q, t) -> tuple[np.ndarray, np.ndarray]:
+    """_fd_points of the orbits of p/q at times t; p, q and t broadcast to one column each."""
+    e = np.exp(np.asarray(t, dtype=np.float64) / 2)
+    return _fd_points(1.0 / e, np.asarray(p) / np.asarray(q) * e, 0.0, e)
 
 
-def test_orbit_point_basics():
-    x = ReducedFraction(2, 5)
-    B = orbit_point(x, 0.0)
-    assert B.det() == pytest.approx(1.0, abs=1e-12)
-    B2 = orbit_point(x, 1.7)
-    assert B2.det() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        orbit_point(x, math.inf)
-
-
-def test_orbit_point_warns_far_outside_lifespan():
-    with pytest.warns(UserWarning):
-        orbit_point(ReducedFraction(2, 5), -150.0)
-
-
-@given(reduced_fractions(), st.floats(min_value=-5.0, max_value=12.0))
-def test_reduction_invariants(x, t):
-    B = orbit_point(x, t)
-    R = reduce_basis(B)
-    n1 = float(R.m[0] @ R.m[0])
-    n2 = float(R.m[1] @ R.m[1])
-    assert n1 <= n2 * (1 + 1e-12)
-    assert abs(float(R.m[0] @ R.m[1])) <= 0.5 * n1 * (1 + 1e-12)
-    assert abs(R.det()) == pytest.approx(1.0, abs=1e-9)
-    # same lattice: change of basis has integer entries and determinant +-1
-    U = R.m @ np.linalg.inv(B.m)
-    assert np.allclose(U, np.round(U), atol=1e-6)
-    assert round(abs(float(np.linalg.det(U)))) == 1
-
-
-def test_reduction_of_the_orbit_start():
-    # the lattice holds (0, 1) at t = 0, so the shortest vector is no longer
-    for q in range(2, 40):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                R = reduce_basis(orbit_point(ReducedFraction(p, q), 0.0))
-                assert float(R.m[0] @ R.m[0]) <= 1.0 + 1e-12
-
-
-def test_fundamental_domain_walk_is_continuous_at_the_orbit_start():
-    # t = 0 takes the float path of every other t, so a boundary tie
-    # (the orbit of 1/2 starts on the edge x = -1/2) rounds the same way
-    for q in range(2, 300):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                x = ReducedFraction(p, q)
-                x0, y0, w0 = to_fundamental_domain(orbit_point(x, 0.0))
-                x1, y1, w1 = to_fundamental_domain(orbit_point(x, 1e-12))
-                assert w0 == w1, x
-                assert (x0, y0) == pytest.approx((x1, y1), abs=1e-9), x
-
-
-def test_height_floor_and_hexagonal_extremal():
-    assert height(hexagonal_basis()) == pytest.approx(HEIGHT_FLOOR, abs=1e-12)
-    assert height(LatticeBasis(np.eye(2))) == pytest.approx(1.0, abs=1e-12)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        assert height(haar_sample(rng)) >= HEIGHT_FLOOR - 1e-9
+def coprime_pairs(q_end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns p, q of every reduced fraction p/q in (0, 1) with q < q_end."""
+    ps = [coprime_array(q) for q in range(2, q_end)]
+    return np.concatenate(ps), np.repeat(np.arange(2, q_end), [p.size for p in ps])
 
 
 def test_orbit_height_at_time_zero_is_at_least_one():
-    # the lattice contains (0, 1) at t = 0
-    for q in range(2, 40):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                assert height(orbit_point(ReducedFraction(p, q), 0.0)) >= 1.0 - 1e-12
+    # the lattice contains (0, 1) at t = 0, so its shortest vector is no longer
+    _, fy = orbit_fd_points(*coprime_pairs(40), 0.0)
+    assert (fy >= 1.0 - 1e-12).all()
+
+
+def test_fundamental_domain_walk_is_continuous_at_the_orbit_start():
+    # t = 0 takes the float path of every other t. x is compared with the
+    # edges x = -1/2 and x = 1/2 identified: the orbit of 1/2 runs along the
+    # edge, and the kernel lands on -0.49999999999999994 at t = 0 but on
+    # 0.4999999999999999 at t = 1e-12, which its tie rule (x == 0.5 only) keeps
+    ps, qs = coprime_pairs(300)
+    x0, y0 = orbit_fd_points(ps, qs, 0.0)
+    x1, y1 = orbit_fd_points(ps, qs, 1e-12)
+    assert (np.abs((x0 - x1 + 0.5) % 1.0 - 0.5) <= 1e-9).all()
+    np.testing.assert_allclose(y0, y1, rtol=0, atol=1e-9)
+
+
+def test_height_floor_and_hexagonal_extremal():
+    # the hexagonal lattice is the corner tie 1/2 + i sqrt(3)/2, which goes to x = -1/2
+    a = math.sqrt(2 / math.sqrt(3))
+    fx, fy = _fd_points([a, 1.0], 0.0, [a / 2, 0.0], [a * math.sqrt(3) / 2, 1.0])
+    assert fx == pytest.approx([-0.5, 0.0], abs=1e-12)
+    assert np.sqrt(fy) == pytest.approx([HEIGHT_FLOOR, 1.0], abs=1e-12)
 
 
 def test_orbit_heights_can_dip_below_one():
     # x = 5/8 at t = 2.2: the shortest vector is longer than 1
-    ht = height(orbit_point(ReducedFraction(5, 8), 2.2))
-    assert ht < 1.0
-    assert ht >= HEIGHT_FLOOR - 1e-12
+    _, (fy,) = orbit_fd_points(5, 8, 2.2)
+    assert HEIGHT_FLOOR - 1e-12 <= math.sqrt(fy) < 1.0
 
 
 def test_orbit_diverges_at_both_ends():
-    qs = list(range(2, 151))
     rng = np.random.default_rng(5)
-    for q in qs + [int(v) for v in rng.integers(151, 1001, size=120)]:
+    pairs = []
+    for q in list(range(2, 151)) + [int(v) for v in rng.integers(151, 1001, size=120)]:
         ps = [p for p in range(1, q) if math.gcd(p, q) == 1]
-        for p in ps if q <= 150 else [ps[int(rng.integers(len(ps)))]]:
-            x = ReducedFraction(p, q)
-            assert height(orbit_point(x, -10.0)) >= 10.0
-            assert height(orbit_point(x, 2 * math.log(q) + 10.0)) >= 10.0
-
-
-def test_dual_point_is_an_involution():
-    B = orbit_point(ReducedFraction(3, 7), 1.3)
-    D = dual_point(dual_point(B))
-    assert np.allclose(D.m, B.m, atol=1e-12)
-    E = dual_point(orbit_point(ReducedFraction(3, 7), 0.0))
-    assert abs(E.det()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_shape_point_is_in_the_upper_half_plane():
-    z = shape_point(reduce_basis(hexagonal_basis()))
-    assert z.imag > 0
-    assert abs(z) == pytest.approx(1.0, abs=1e-9)
+        pairs += [(p, q) for p in (ps if q <= 150 else [ps[int(rng.integers(len(ps)))]])]
+    ps, qs = np.array(pairs).T
+    for t in (-10.0, 2 * np.log(qs) + 10.0):
+        _, fy = orbit_fd_points(ps, qs, t)
+        assert (fy >= 100.0).all()  # height >= 10
 
 
 def test_fundamental_domain_output_ranges():
     for (p, q, t) in ((2, 5, 0.7), (3, 7, 2.0), (113, 355, 5.0)):
-        B = orbit_point(ReducedFraction(p, q), t)
-        fx, fy, word = to_fundamental_domain(B)
+        (fx,), (fy,) = orbit_fd_points(p, q, t)
         assert -0.5 - 1e-12 <= fx <= 0.5
         assert fx * fx + fy * fy >= 1 - 1e-9
-        assert fy == pytest.approx(height(B) ** 2, rel=1e-9)
-        assert isinstance(word, str)
+        assert fy == pytest.approx(exact_fd_point(p, q, t)[1], rel=1e-9)
 
 
 @given(reduced_fractions(), st.floats(min_value=0.0, max_value=14.0))
 def test_float_fd_path_agrees_with_the_reference(x, t):
     e = math.exp(t / 2)
     (fx,), (fy,) = _fd_points(1.0 / e, (x.p / x.q) * e, 0.0, e)
-    gx, gy, _ = to_fundamental_domain(orbit_point(x, t))
+    gx, gy = exact_fd_point(x.p, x.q, t)
     assert fy == pytest.approx(gy, rel=1e-6)
     if away_from_ties(gx, gy):
         assert fx == pytest.approx(gx, abs=1e-6)
@@ -175,13 +135,9 @@ def test_batched_fd_path_equals_the_per_point_results(points):
     e = np.exp(np.array([t for _, t in points]) / 2)
     xf = np.array([x.p / x.q for x, _ in points])
     bx, by = _fd_points(1.0 / e, xf * e, 0.0, e)
-    for i, (x, t) in enumerate(points):
+    for i in range(len(points)):
         (ox,), (oy,) = _fd_points(1.0 / e[i], xf[i] * e[i], 0.0, e[i])
         assert (bx[i], by[i]) == (ox, oy)
-        gx, gy, _ = to_fundamental_domain(orbit_point(x, t))
-        assert by[i] == pytest.approx(gy, rel=1e-6)
-        if away_from_ties(gx, gy):
-            assert bx[i] == pytest.approx(gx, abs=1e-6)
 
 
 @given(st.lists(st.tuples(reduced_fractions(), st.floats(min_value=0.0, max_value=14.0)), min_size=2, max_size=40))
@@ -211,13 +167,6 @@ def test_haar_sample_region_and_mean_reciprocal_y():
     assert abs(got - want) / want < 0.01
 
 
-def test_haar_sample_basis_is_unimodular():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        B = haar_sample(rng)
-        assert abs(abs(B.det()) - 1.0) < 1e-9
-
-
 def test_orbit_samples_grid():
     x = ReducedFraction(2, 5)
     t, ht, fx, fy = orbit_samples(x, 0.25)
@@ -235,50 +184,22 @@ def test_orbit_samples_agree_with_the_reference_over_the_lifespan(x, dt):
     t, ht, fx, fy = orbit_samples(x, dt)
     assert np.array_equal(ht, np.sqrt(fy))
     for i in np.flatnonzero(t <= 2 * math.log(x.q)):
-        gx, gy, _ = to_fundamental_domain(orbit_point(x, float(t[i])))
+        gx, gy = exact_fd_point(x.p, x.q, float(t[i]))
         assert fy[i] == pytest.approx(gy, rel=1e-6)
         if away_from_ties(gx, gy):
             assert fx[i] == pytest.approx(gx, abs=1e-6)
 
 
-def exact_fd_point(p: int, q: int, t: float, dps: int = 60) -> tuple[float, float]:
-    """Fundamental-domain point of the orbit of p/q at time t, reduced and walked in dps digits."""
-    with mpmath.workdps(dps):
-        e = mpmath.exp(mpmath.mpf(t) / 2)
-        v1, v2 = (1 / e, mpmath.mpf(p) / q * e), (mpmath.mpf(0), e)
-
-        def dot(a, b):
-            return a[0] * b[0] + a[1] * b[1]
-
-        while True:
-            if dot(v1, v1) > dot(v2, v2):
-                v1, v2 = v2, v1
-            mu = mpmath.nint(dot(v1, v2) / dot(v1, v1))
-            if mu == 0:
-                break
-            v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
-        if v1[0] * v2[1] - v1[1] * v2[0] < 0:
-            v1, v2 = v2, v1
-        z = mpmath.mpc(*v2) / mpmath.mpc(*v1)
-        while True:
-            z -= mpmath.nint(z.real)
-            if abs(z) >= 1:
-                return float(z.real), float(z.imag)
-            z = -1 / z
-
-
 def test_orbit_samples_match_the_exact_orbit():
-    # against 60 digits, the array and the scalar path were both off by at most 6.2e-9
-    # (absolute) and 2.9e-9 (relative in fd_y) over all 1844 grid points of 3571/10007 at dt 0.01
+    # against 60 digits, the array path was off by at most 6.2e-9 (absolute)
+    # and 2.9e-9 (relative in fd_y) over all 1844 grid points of 3571/10007 at dt 0.01
     x = ReducedFraction(3571, 10007)
     t, _, fx, fy = orbit_samples(x, 0.01)
     for i in range(0, t.size, 150):
         gx, gy = exact_fd_point(x.p, x.q, float(t[i]))
         assert away_from_ties(gx, gy)
-        sx, sy, _ = to_fundamental_domain(orbit_point(x, float(t[i])))
-        for px, py in ((fx[i], fy[i]), (sx, sy)):
-            assert px == pytest.approx(gx, abs=2e-8)
-            assert py == pytest.approx(gy, rel=1e-8)
+        assert fx[i] == pytest.approx(gx, abs=2e-8)
+        assert fy[i] == pytest.approx(gy, rel=1e-8)
 
 
 @pytest.mark.parametrize("p, q", [(1, 3), (7, 19), (2, 5), (5, 8), (3571, 10007)])

@@ -8,20 +8,20 @@ import cforbit
 PUBLIC = """
     CfeWord ConvergentList CrossSectionPoint CrossingRecord DegenerateStartError
     DigitHistogram EmpiricalMeasure FdHistogram HeightBoundError HeightBoundReport
-    Interval LEN_RATE LN2 LatticeBasis LatticeError MassEscapeBoundError
+    Interval LEN_RATE LN2 LatticeError MassEscapeBoundError
     MassEscapeReport Modulus NumericEvent ReducedFraction
     SectionDomainError SweepSummary SymmetryError ZarembaCensus __version__
     averaged_height_tail brute_force_censuses cfe_digits cfe_len
     convergents coprime_array count_coprime_upto crossing_sequence
     cylinder_interval detect_crossings_numeric detect_events_numeric
     digit_one_frequency digit_probability dispersion
-    dual_point dual_residue enumerate_bounded euler_phi exponent_fit factorize
+    dual_residue enumerate_bounded euler_phi exponent_fit factorize
     fd_cell_masses first_crossing from_digits gauss_cdf gauss_density gauss_map
-    haar_fd_histogram haar_fd_sample haar_height_tail haar_sample height
+    haar_fd_histogram haar_fd_sample haar_height_tail
     height_bound_check kappa_quadrature ks_distance len_stats mass_escape_count
     mean_return_time measure_interval members nu_bar nu_pq omega orbit_fd_histogram
-    orbit_height_tail orbit_point orbit_samples reduce_basis return_map return_time
-    sample_section shape_point to_fundamental_domain uniform_edges verify_symmetry
+    orbit_height_tail orbit_samples return_map return_time
+    sample_section uniform_edges verify_symmetry
     word_frequency
 """.split()
 

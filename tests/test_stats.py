@@ -12,7 +12,7 @@ import pytest
 from cforbit import stats
 from cforbit.arith import euler_phi, omega
 from cforbit.cfe import DigitHistogram, ReducedFraction, cfe_digits, cfe_len, convergents
-from cforbit.lattice import height, orbit_point
+from cforbit.lattice import _fd_points
 from cforbit.stats import (
     LEN_RATE,
     V_MAX,
@@ -124,7 +124,8 @@ def test_orbit_height_tail_of_one_over_q_is_one_excursion(q, M):
 
 def test_orbit_height_tail_matches_generic_reduction():
     # trapezoid grid over [0, 2 ln q] with heights from the generic basis
-    # reduction; each of the at most len(x) excursions moves it by <= dt
+    # reduction, one batch of _fd_points; each of the at most len(x)
+    # excursions moves it by <= dt
     dt = 1e-3
     for x, M in ((ReducedFraction(3, 7), 1.2), (ReducedFraction(5, 8), 1.0), (ReducedFraction(13, 31), 1.1)):
         span = 2 * math.log(x.q)
@@ -132,7 +133,8 @@ def test_orbit_height_tail_matches_generic_reduction():
         ts = np.linspace(0.0, span, n + 1)
         w = np.ones(n + 1)
         w[0] = w[-1] = 0.5
-        ind = np.array([1.0 if height(orbit_point(x, float(t))) >= M else 0.0 for t in ts])
+        e = np.exp(ts / 2)
+        ind = np.sqrt(_fd_points(1.0 / e, (x.p / x.q) * e, 0.0, e)[1]) >= M
         grid = float(np.sum(w * ind) / np.sum(w))
         assert abs(orbit_height_tail(x, M) - grid) <= (cfe_len(x) + 1) * dt / span
 
