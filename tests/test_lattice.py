@@ -73,6 +73,13 @@ def test_orbit_height_at_time_zero_is_at_least_one():
     assert (fy >= 1.0 - 1e-12).all()
 
 
+def test_reduction_of_the_orbit_start():
+    # the 60-digit reduction of the same lattices: the shortest vector, of
+    # squared length 1/fd_y, is no longer than (0, 1)
+    for p, q in zip(*(c.tolist() for c in coprime_pairs(40))):
+        assert 1.0 / exact_fd_point(p, q, 0.0)[1] <= 1.0 + 1e-12, (p, q)
+
+
 def test_fundamental_domain_walk_is_continuous_at_the_orbit_start():
     # t = 0 takes the float path of every other t. x is compared with the
     # edges x = -1/2 and x = 1/2 identified: the orbit of 1/2 runs along the
