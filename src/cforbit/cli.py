@@ -73,19 +73,6 @@ def _cast_list(cast: Callable[[str], object], kind: str) -> Callable[[str], tupl
     return cast_list
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CFORBIT_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as e:
-            raise ConfigError(f"CFORBIT_THREADS must be an integer: {env!r}") from e
-        if n < 1:
-            raise ConfigError("CFORBIT_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def _param(
     cast: Callable[[str], object],
     help: str,
@@ -126,10 +113,10 @@ class ExperimentConfig:
         _cast_int,
         "worker threads for the sweeps and mass-escape, at most one per core and per chunk of"
         " 2^15 residues; recorded in the output, no row depends on it"
-        " (default: CFORBIT_THREADS or available parallelism)",
+        " (default: os.cpu_count(), the number of cores)",
         lambda v: v >= 1,
         "threads must be >= 1",
-        factory=_default_threads,
+        factory=lambda: os.cpu_count() or 1,
     )
     output: Optional[str] = _param(str, "output path (default stdout)")
     format: str = _param(

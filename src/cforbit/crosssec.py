@@ -222,7 +222,7 @@ def detect_crossings_numeric(x: ReducedFraction, dt: float) -> list[float]:
 
 def kappa_quadrature() -> float:
     """The section-measure normalizing constant: reciprocal of -4 * integral of ln(y)/(1+y) on (0,1)."""
-    import mpmath  # only here and in stats.mass_escape_count, so import cforbit does not load it
+    import mpmath  # the one use of mpmath in cforbit, so import cforbit does not load it
 
     with mpmath.workdps(30):
         integral = mpmath.quad(lambda y: mpmath.log(y) / (1 + y), [0, 1])

@@ -130,10 +130,12 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     until that projection rounds to 0. The pair is then oriented and its
     shape walked by _fd_rounds into {|x| <= 1/2, x^2 + y^2 >= 1}.
     Boundary ties go to x = -1/2 (a computed x of exactly 1/2) and to the
-    left arc (x^2 + y^2 within 1e-15 of 1). y is the squared height, so
-    at least sqrt(3)/2, the hexagonal lattice's. Every column takes the
-    same float operations in the same order, so its result does not
-    depend on the batch it runs in. Finished columns are dropped by a
+    left arc (x^2 + y^2 within 1e-15 of 1). The first rule misses an edge
+    point whose x rounds short of 1/2: 1/2 at t = 0.1 and 1.35 prints as
+    fd_x = 0.5 and falls in a histogram's rightmost x cell (ROADMAP item
+    1 fixes it). y is the squared height, so at least sqrt(3)/2, the
+    hexagonal lattice's. Every column takes the same float operations in
+    the same order, so its result does not depend on the batch it runs in. Finished columns are dropped by a
     keep mask after every round. Its callers are orbit_samples and
     stats.orbit_fd_histogram; the crossing detector walks with _fd_words.
     """

@@ -11,15 +11,16 @@ run Euclid rounds on int32 columns below q = 2^31 (int64 above), so
 memory is bounded whatever q is (per worker, under 2 MB traced for a
 sweep at the default binning, about 5 MB for the mass-escape count).
 The sweeps and the mass-escape count split their chunks across up to
-`threads` workers, each with its own integer tallies. They run the
-one Euclid kernel, arith._euclid_rounds, which the census oracle of
-zaremba and the excursions of lattice run too. They keep integer
-tallies only: the length statistics read a histogram of len(p/q), not
-one length per residue, and the averaged orbit measure and its digit-1
-mass read counts of (length, bin) and (length, digit) pairs, so every
-result is an exact rational rounded once to a float, whatever the
-chunking. Gauss-map points are binned exactly: the bin of B/A with
-nbins bins is (B * nbins) // A, never a float comparison.
+`threads` workers, each with its own integer tallies (and, counting
+mass escape, its own 50-digit decimal context). They run the one
+Euclid kernel, arith._euclid_rounds, which the census oracle of zaremba
+and the excursions of lattice run too. They keep integer tallies only:
+the length statistics read a histogram of len(p/q), not one length per
+residue, and the averaged orbit measure and its digit-1 mass read
+counts of (length, bin) and (length, digit) pairs, so every result is
+an exact rational rounded once to a float, whatever the chunking.
+Gauss-map points are binned exactly: the bin of B/A with nbins bins is
+(B * nbins) // A, never a float comparison.
 
 The sweeps and the mass-escape count run the kernel over p <= q/2 only
 and fold in the mirror q - p. Its orbit is the reflection of p's under
@@ -44,13 +45,15 @@ on the chunking.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -115,14 +118,14 @@ def nu_pq(x: ReducedFraction, bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
     One walk of the Euclid chain counts the iterates per bin and the
     length n, and each count c becomes the weight c/n.
     """
-    counts = [0] * bins
+    edges, counts = uniform_edges(bins), [0] * bins  # bins < 1 is refused before the walk
     n = 0
     a, b = x.q, x.p
     while b:
         counts[(b * bins) // a] += 1
         n += 1
         a, b = b, a % b
-    return EmpiricalMeasure(uniform_edges(bins), np.array([Fraction(c, n) for c in counts], dtype=object))
+    return EmpiricalMeasure(edges, np.array([Fraction(c, n) for c in counts], dtype=object))
 
 
 @dataclass(frozen=True)
@@ -166,13 +169,10 @@ def _residue_chunks(q: int, top: int | None = None) -> Iterator[np.ndarray]:
         lo = int(chunk[-1]) + 1 if chunk.size == _CHUNK else hi
 
 
-_T = TypeVar("_T")
-
-
 def _folded_pass(
-    q: int, phi: int, threads: int, work: Callable[[Callable[[], Optional[np.ndarray]]], _T]
-) -> list[_T]:
-    """Run work(pull) on each worker of a pass over the coprime p <= q/2; the results in worker order.
+    q: int, phi: int, threads: int, work: Callable[[Callable[[], Optional[np.ndarray]]], tuple]
+) -> tuple:
+    """Run work(pull) on each worker of a pass over the coprime p <= q/2; the elementwise sum of their results.
 
     pull() hands out the next chunk of _residue_chunks(q, q // 2 + 1)
     under a lock, and None once none is left, so the chunks stay streamed
@@ -181,8 +181,8 @@ def _folded_pass(
     residues p <= q/2, of which there are (phi + 1) // 2) starts no
     thread. The calling thread is worker 0, and the others are started
     threads, all joined before the first exception of any worker is
-    raised here. Each worker keeps its own tallies; the caller adds them
-    up, which gives the same integers in any order.
+    raised here. Each worker returns a tuple of integer tallies, which are
+    added field by field into worker 0's: the same integers in any order.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -215,7 +215,7 @@ def _folded_pass(
             worker.join()
     if errors:
         raise errors[0]
-    return results
+    return tuple(functools.reduce(operator.iadd, parts) for parts in zip(*results))
 
 
 def _chunk_tallies(
@@ -322,9 +322,9 @@ def _sweep(q: int, bins: int, threads: int = 1) -> _SweepData:
     against that length. Each mirror q - p is counted with its p: its
     Euclid chain is p's behind two leading rounds, so half the residues
     give every tally exactly. The chunks are split across up to `threads`
-    workers (_folded_pass), each with its own tallies, which are added
-    up after the join. The int64 tallies do not depend on how the
-    residues are grouped or which worker took them, so nu_bar's weight of
+    workers (_folded_pass), each with its own tallies, which it sums. The
+    int64 tallies do not depend on how the residues are grouped or which
+    worker took them, so nu_bar's weight of
     bin j, sum_n T[n, j] / (n phi), and the weighted digit-1 frequency,
     sum_n D[n, 1] / (n phi), are exact rationals, each rounded once
     (_weighted_means), and the bits do not depend on the thread count.
@@ -358,11 +358,7 @@ def _sweep(q: int, bins: int, threads: int = 1) -> _SweepData:
         return len_counts, bin_tally, digit_tally, shared_digits
 
     phi = euler_phi(q)
-    mine, *others = _folded_pass(q, phi, threads, tallies)
-    for theirs in others:
-        for total, part in zip(mine, theirs):
-            total += part
-    len_counts, bin_tally, digit_tally, shared_digits = mine
+    len_counts, bin_tally, digit_tally, shared_digits = _folded_pass(q, phi, threads, tallies)
     digit_tally += shared_digits
     digit_tally[1:] += shared_digits[:-1]
     bin_tally[-1] = digit_tally[-1] = 0  # the parked rounds
@@ -411,8 +407,8 @@ def dispersion(q: int, delta: float, *, threads: int = 1) -> float:
 
     threads caps the sweep's workers, as in len_stats.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     qi = int(q)
     sd = _sweep(qi, DEFAULT_BINS, threads)
     ratios = np.arange(sd.len_counts.size, dtype=np.float64) / (2.0 * math.log(qi))
@@ -428,10 +424,13 @@ def digit_one_frequency(q: int) -> float:
     return _sweep(int(q), DEFAULT_BINS).digit1
 
 
+def _check_height(M: float) -> None:
+    if not 1 <= M < math.inf:  # NaN fails this too
+        raise ValueError(f"M must be finite and >= 1, got {M}")
+
+
 def _height_tails(q: int, ps: np.ndarray, M: float) -> np.ndarray:
     """Exact fraction of [0, 2 ln q] the orbit of each p/q in ps spends at height >= M."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
     tails = np.zeros(ps.size)
     for idx, qk, rk, _ in _excursions(q, ps):
         tails[idx] += np.arccosh(np.maximum(1.0, q / (2.0 * M * M * (qk * rk))))
@@ -444,6 +443,7 @@ def orbit_height_tail(x: ReducedFraction, M: float) -> float:
     Exact: the excursions above M are disjoint, and the one of the k-th
     convergent lasts 2 arccosh(q / (2 M^2 q_k r_k)) (see lattice._excursions).
     """
+    _check_height(M)
     return float(_height_tails(x.q, np.array([x.p]), M)[0])
 
 
@@ -482,6 +482,7 @@ def averaged_height_tail(q: int, M: float, sample_size: int = 2000, seed: int = 
     the sweeps: twice a half sum would regroup the float sum, and the
     phi(1009) = 1008 value is pinned bit for bit.
     """
+    _check_height(M)
     qi = int(q)
     if qi >= 2 and sample_size >= (phi := euler_phi(qi)):
         total = sum(_height_tails(qi, chunk, M).sum() for chunk in _residue_chunks(qi))
@@ -492,8 +493,7 @@ def averaged_height_tail(q: int, M: float, sample_size: int = 2000, seed: int = 
 
 def haar_height_tail(rng: np.random.Generator, n: int, M: float) -> float:
     """Monte Carlo estimate of the Haar probability of height >= M (uses ht^2 = y on the domain)."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _check_height(M)
     _, y = haar_fd_sample(rng, n)
     return float(np.mean(y >= M * M))
 
@@ -530,20 +530,17 @@ def mass_escape_count(
     the mirror image of p's and its chain is p's behind one vector that
     is never short, so each p counts and escalates for q - p too; that
     vector's own margin hits (possible past q = 2^40, with M near 1) are
-    added apart. The residues are taken per chunk of _residue_chunks,
-    one Euclid run each, so memory is bounded whatever q is (about 5 MB
-    traced). The chunks are split across up to `threads` workers
-    (_folded_pass), each with its own count and escalations. A worker
-    does not decide its margin hits: it keeps each as (q_k, r_k, p) while
-    p is not counted otherwise, and the calling thread decides them in 50
-    digits after the join, since mpmath's precision is one global
-    setting. So the report does not depend on the thread count.
+    added apart. The residues come per chunk of _residue_chunks, one
+    Euclid run each (about 5 MB traced whatever q is), split across up to
+    `threads` workers (_folded_pass). Each decides its own margin hits in
+    a 50-digit decimal context of its thread, so the report does not
+    depend on the thread count.
     """
     qi = int(q)
     if qi < 2:
         raise ValueError("q must be >= 2")
-    if M <= 1:
-        raise ValueError("M must be > 1")
+    if not 1 < M < math.inf:
+        raise ValueError(f"M must be finite and > 1, got {M}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
@@ -561,21 +558,18 @@ def mass_escape_count(
     lead_in_margin = qi > 2 and 1.0 - inv_m2 <= 2 * tol
 
     def exact(m: int, r: int) -> bool:
-        import mpmath  # only a margin hit needs it, so import cforbit does not load it
+        with decimal.localcontext() as ctx:  # a copy of this thread's own context
+            ctx.prec = 50
+            et = decimal.Decimal(t).exp()
+            return m * m / et + (decimal.Decimal(r) / qi) ** 2 * et <= 1 / decimal.Decimal(M) ** 2
 
-        with mpmath.workdps(50):
-            lhs = m * m * mpmath.exp(-t) + (mpmath.mpf(r) / qi) ** 2 * mpmath.exp(t)
-            return lhs <= 1 / mpmath.mpf(M) ** 2
-
-    def escapes(pull: Callable[[], Optional[np.ndarray]]) -> tuple[int, int, int, list]:
+    def escapes(pull: Callable[[], Optional[np.ndarray]]) -> tuple[int, int, int]:
         count = escalations = lead_escalations = 0
-        pending: list[tuple[int, int, int]] = []  # (q_k, r_k, p) margin hits of uncounted p
         while (ps := pull()) is not None:
             if lead_in_margin:
                 lead = emt + ((qi - ps) / qi) ** 2 * ept - inv_m2
                 lead_escalations += int(np.count_nonzero(np.abs(lead) <= tol))
             hit = np.zeros(ps.size, dtype=bool)
-            near_hits: list[tuple[int, int, int]] = []
             for idx, qk, rk, rem in _excursions(qi, ps):
                 # squared in float64: q_k runs up to q/2, so an int64 q_k^2 wraps
                 # past q ~ 6.07e9; where it does not, both round q_k^2 once to nearest
@@ -584,18 +578,15 @@ def mass_escape_count(
                 hit[idx[gap < -tol]] = True
                 near = np.flatnonzero(np.abs(gap) <= tol)
                 escalations += near.size
-                near_hits += zip(qk[near].tolist(), rk[near].tolist(), idx[near].tolist())
+                for i in near:
+                    hit[idx[i]] |= exact(int(qk[i]), int(rk[i]))
                 # later convergents have larger q_k, so none of them can be short
                 rem[head - inv_m2 > tol] = 0
             count += int(np.count_nonzero(hit))
-            pending += ((m, r, int(ps[i])) for m, r, i in near_hits if not hit[i])
-        return count, escalations, lead_escalations, pending
+        return count, escalations, lead_escalations
 
     phi = euler_phi(qi)
-    counts, escalated, lead_escalated, pending = zip(*_folded_pass(qi, phi, threads, escapes))
-    count, escalations, lead_escalations = sum(counts), sum(escalated), sum(lead_escalated)
-    # a residue counts once, however many of its vectors the 50 digits find short
-    count += len({p for hits in pending for m, r, p in hits if exact(m, r)})
+    count, escalations, lead_escalations = _folded_pass(qi, phi, threads, escapes)
     # q - p counts and escalates as p does; the one residue of q = 2 is its own mirror
     fold = 2 if qi > 2 else 1
     count, escalations = fold * count, fold * escalations + lead_escalations

@@ -105,15 +105,18 @@ def test_config_file_merging(tmp_path):
         capture(["dispersion", "--config", str(path), "--threads", "1"])
 
 
-def test_threads_environment_default(monkeypatch):
+def test_threads_default_is_the_core_count(monkeypatch, tmp_path):
+    # only the flag and the config key set the worker count, never the environment
     monkeypatch.setenv("CFORBIT_THREADS", "3")
-    assert capture(["kappa"]).threads == 3
-    monkeypatch.setenv("CFORBIT_THREADS", "0")
-    with pytest.raises(ConfigError):
-        capture(["kappa"])
-    monkeypatch.setenv("CFORBIT_THREADS", "many")
-    with pytest.raises(ConfigError):
-        capture(["kappa"])
+    assert build_config(["kappa"]).threads == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert build_config(["kappa"]).threads == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_config(["kappa"]).threads == 1
+    path = tmp_path / "run.cfg"
+    path.write_text("threads=2\n")
+    assert build_config(["kappa", "--config", str(path)]).threads == 2
+    assert build_config(["kappa", "--config", str(path), "--threads", "4"]).threads == 4
 
 
 def test_csv_shape():

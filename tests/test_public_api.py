@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,25 @@ def test_all_is_exactly_the_public_set():
 
 
 def test_import_does_not_load_mpmath():
-    # only the 50-digit margin check of mass_escape_count and kappa_quadrature need it
+    # only kappa_quadrature needs it, and imports it when called
     code = "import sys, cforbit, cforbit.cli; assert 'mpmath' not in sys.modules"
     src = str(Path(cforbit.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
+
+
+def test_mpmath_and_threading_each_stay_in_one_module():
+    # the 50-digit quadrature is crosssec's and the worker layer is stats'; the
+    # mass-escape margin checks run on decimal, whose context is per thread
+    importers = {"mpmath": set(), "threading": set()}
+    for path in sorted(Path(cforbit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in importers:
+                    importers[name.split(".")[0]].add(path.name)
+    assert importers == {"mpmath": {"crosssec.py"}, "threading": {"stats.py"}}

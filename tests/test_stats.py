@@ -1,9 +1,11 @@
 import hashlib
 import math
 import os
-import threading
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -314,17 +316,10 @@ def test_mass_escape_counts_do_not_depend_on_the_chunk(monkeypatch):
 @pytest.mark.parametrize("threads", (2, 3))
 def test_mass_escape_counts_do_not_depend_on_the_thread_count(threads, monkeypatch):
     # chunks of 97 residues (7 at q = 97), so the workers share the draws' chunks and
-    # margin hits; the 50-digit checks must all run on the calling thread
+    # margin hits, and each decides its own in 50 digits
     want = [(r.count, r.escalations) for r in (mass_escape_count(97, M, t, False) for M, t, _ in _threshold_cases())]
     assert [e for _, e in want] == [e for _, _, e in _threshold_cases()]
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    workdps, checked_on = mpmath.workdps, set()
-
-    def recorded_workdps(n):
-        checked_on.add(threading.current_thread())
-        return workdps(n)
-
-    monkeypatch.setattr(mpmath, "workdps", recorded_workdps)
     monkeypatch.setattr(stats, "_CHUNK", 7)
     reports = (mass_escape_count(97, M, t, False, threads=threads) for M, t, _ in _threshold_cases())
     assert [(r.count, r.escalations) for r in reports] == want
@@ -333,7 +328,22 @@ def test_mass_escape_counts_do_not_depend_on_the_thread_count(threads, monkeypat
         reports = (mass_escape_count(q, M, t, checked, threads=threads) for q, M, t in draws())
         got = [(r.count, r.escalations) for r in reports]
         assert hashlib.sha256(repr(got).encode()).hexdigest() == sha
-    assert checked_on == {threading.current_thread()}
+
+
+def test_mass_escape_margin_checks_on_workers_do_not_load_mpmath():
+    # two workers over chunks of 7 decide the threshold cases' margin hits in 50 digits
+    want = [(r.count, r.escalations) for r in (mass_escape_count(97, M, t, False) for M, t, _ in _threshold_cases())]
+    code = (
+        "import os, sys\n"
+        "from cforbit import stats\n"
+        "stats._CHUNK, os.cpu_count = 7, lambda: 2\n"
+        f"cases = {[(M, t) for M, t, _ in _threshold_cases()]!r}\n"
+        "reports = [stats.mass_escape_count(97, M, t, False, threads=2) for M, t in cases]\n"
+        "print([(r.count, r.escalations) for r in reports], 'mpmath' in sys.modules)\n"
+    )
+    src = str(Path(stats.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True, cwd=src, capture_output=True, text=True).stdout
+    assert out == f"{want!r} False\n"
 
 
 def test_mass_escape_squares_continuants_without_wrapping(monkeypatch):
@@ -403,6 +413,36 @@ def test_mass_escape_hypothesis_guard():
             with pytest.raises(ValueError, match="t must be finite"):
                 mass_escape_count(97, 2.0, t, checked)
     assert issubclass(MassEscapeBoundError, AssertionError)
+
+
+_X = ReducedFraction(2, 5)
+_REFUSED = {
+    "orbit_height_tail-nan": (orbit_height_tail, (_X, math.nan), "M must be finite and >= 1"),
+    "orbit_height_tail-inf": (orbit_height_tail, (_X, math.inf), "M must be finite and >= 1"),
+    "averaged_height_tail-nan": (averaged_height_tail, (1009, math.nan), "M must be finite and >= 1"),
+    "averaged_height_tail-inf": (averaged_height_tail, (10**6 + 3, math.inf), "M must be finite and >= 1"),
+    "haar_height_tail-nan": (haar_height_tail, (np.random.default_rng(0), 10, math.nan), "M must be finite and >= 1"),
+    "haar_height_tail-inf": (haar_height_tail, (np.random.default_rng(0), 10, math.inf), "M must be finite and >= 1"),
+    "dispersion-nan": (dispersion, (101, math.nan), "delta must be finite and positive"),
+    "dispersion-inf": (dispersion, (10**4 + 7, math.inf), "delta must be finite and positive"),
+    "mass_escape_count-inf": (mass_escape_count, (97, math.inf, 1.0), "M must be finite and > 1"),
+    "mass_escape_count-nan": (mass_escape_count, (97, math.nan, 1.0), "M must be finite and > 1"),
+    "nu_pq-no-bins": (nu_pq, (_X, 0), "bins must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_non_finite_thresholds_are_refused_before_any_work(case, monkeypatch):
+    # the rule of the CLI's float cast: a NaN or infinite threshold is never computed with
+    reader, args, message = _REFUSED[case]
+
+    def no_work(*_):
+        raise AssertionError("work began before the threshold was checked")
+
+    for name in ("_residue_chunks", "_excursions", "haar_fd_sample"):
+        monkeypatch.setattr(stats, name, no_work)
+    with pytest.raises(ValueError, match=message):
+        reader(*args)
 
 
 @pytest.mark.parametrize("t", [700.0, 709.0, 709.5, 800.0, 1e6])
