@@ -10,6 +10,7 @@ in docs/cli.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -642,6 +643,7 @@ def run(config: ExperimentConfig) -> Iterator[OutputBlock]:
 
 # ----------------------------------------------------------------- main
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser as it was: build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cforbit",

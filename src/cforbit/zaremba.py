@@ -14,11 +14,17 @@ q_{k+1} = a*q_k + q_{k-1}: it pops its states from a stack one fixed
 block at a time and tallies each block's closures into the arrays, so
 it holds the two tallies and a few blocks of states, however many
 members there are. The second is a direct digit filter kept as
-the oracle: one run of arith._euclid_rounds, the Euclid kernel that
-the sweeps and the orbit excursions run too, reads the level of each
-coprime pair p/q, max(interior digits, last - 1) relaxed or max(digits)
-strict, and ends a chain once a digit passes the largest bound; p is a
-member when its level is at most K. Orbits of
+the oracle. It reads the level of p/q, max(interior digits, last - 1)
+relaxed or max(digits) strict, and p is a member when its level is at
+most K. The filter is folded by p <-> q - p, as the sweeps are: for
+p < q/2, (q - p)/q = [1, a_1 - 1, a_2, ..., a_n], so one run of
+arith._euclid_rounds (the Euclid kernel that the sweeps and the orbit
+excursions run too) over the chain of p/q after its first digit serves
+p and its mirror alike (_levels). A p <= q/(top + 2), top the largest
+bound, has a_1 - 1 > top, so neither it nor its mirror is a member and
+it is never run, and a chain ends early at an interior digit past top.
+Only the words 1/q = [q] and (q - 1)/q = [1, q - 1] are read off q
+directly (_level_columns). Orbits of
 members must stay below height sqrt(2)*(K+1)^{3/2} over their whole
 lifetime; height_bound_check checks that against the exact largest
 height, read in closed form from the Euclid chains of the members.
@@ -26,14 +32,14 @@ height, read in closed form from the Euclid chains of the members.
 members and height_bound_check read q off a block of consecutive
 denominators: q in [2^j, 2^{j+1}) lies in the aligned block of width
 2^min(j, max(0, c - j)), c = floor(log2 _PAIR_CHUNK), about _PAIR_CHUNK
-coprime pairs, and from q = 2^c on every q is a block of its own. One
-_levels run over the block's pairs and one _excursions run over its
-members serve every q of it, and the last few blocks are cached, so an
+coprime pairs, and from q = 2^c on every q is a block of its own. The
+_levels runs over the block's folded pairs (one per _PAIR_CHUNK of them)
+and one _excursions run over its members serve every q of it, and the last few blocks are cached, so an
 ascending loop over q pays one kernel run per block. A single call pays
-for its whole block: on a cold cache at q < 4096, a members call takes
-0.6-0.9 ms against 0.15-0.4 ms for q alone, and a height_bound_check
-call 0.6-1.0 ms against 0.3-0.7 ms (10th to 90th percentile over 150
-random q, best of 7 calls, 2 cores). A block of one q is not kept.
+for its whole block: on a cold cache at q < 8192 and K = 3, a members or
+height_bound_check call takes 0.5-0.75 ms against 0.27-0.46 ms for a
+block of q alone (10th to 90th percentile over 150 random q, best of 7
+calls, 2 cores). A block of one q is not kept.
 """
 from __future__ import annotations
 
@@ -45,15 +51,15 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import _euclid_rounds, coprime_array
+from .arith import _coprime_mask, _euclid_rounds, factorize
 from .gaussmeasure import LN2
 from .lattice import _excursions
 
-# pairs per kernel run in the brute-force census: small enough that the
-# live columns stay in cache (runs of 2^18 pairs, the width the sweeps'
-# chunks once had, took the Q = 10^4 census about 25% longer), large
-# enough to batch many small q
-_PAIR_CHUNK = 1 << 12
+# folded pairs per kernel run: small enough that the live columns stay in
+# cache (runs of 2^18 pairs, the width the sweeps' chunks once had, took
+# the Q = 10^4 census about 25% longer), large enough to batch many small
+# q; 2^13 beat 2^12 and 2^14 on the Q = 1500 census
+_PAIR_CHUNK = 1 << 13
 
 # (q_{k-1}, q_k) states per block of the digit-tree walk; besides its two
 # tallies the walk holds a few blocks per tree level, and the tree is
@@ -64,7 +70,7 @@ _BLOCK = 1 << 16
 _ROW_BLOCK = 1 << 12
 
 #: largest q that members and height_bound_check take: a block of one q
-#: sends all phi(q) coprime pairs through _levels at once
+#: sends up to phi(q)/2 coprime pairs through _levels at once
 HEIGHT_Q_MAX = 10**6
 
 
@@ -82,8 +88,9 @@ class _Tally(Mapping[int, int]):
             i = operator.index(q)
         except TypeError:
             raise KeyError(q) from None
-        if 0 <= i < self.array.size and self.array[i]:
-            return int(self.array[i])
+        count = self.array.item(i) if 0 <= i < self.array.size else 0
+        if count:
+            return count
         raise KeyError(q)
 
     def __iter__(self) -> Iterator[int]:
@@ -225,38 +232,84 @@ def enumerate_bounded(Q: int, K: int) -> ZarembaCensus:
     return ZarembaCensus(K, Q, _Tally(last), _Tally(strict))
 
 
-def _levels(q: np.ndarray, p: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Relaxed and strict level of each p/q, both capped at top + 1, by one Euclid-kernel run.
+def _levels(q: np.ndarray, p: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Relaxed and strict level of each p/q and of its mirror (q - p)/q, all capped at top + 1, by one Euclid-kernel run.
 
-    The relaxed level is max(interior digits, last - 1), the strict level
-    the largest digit. A chain ends once its running maximum passes top.
+    Takes the coprime pairs with q/(top + 2) < p < q/2 (see
+    _coprime_pairs). a_1 = q // p is read arithmetically and the kernel
+    runs from (p, q mod p), whose digits are a_2, ..., a_n. With m the
+    largest interior digit a_2..a_{n-1} (0 when n = 2):
+    p/q = [a_1, ..., a_n] has relaxed level max(a_1, m, a_n - 1) and
+    strict level max(a_1, m, a_n); (q - p)/q = [1, a_1 - 1, a_2, ..., a_n]
+    has max(a_1 - 1, m, a_n - 1) and max(a_1 - 1, m, a_n) (its leading 1
+    never counts, as a_n >= 2). The window gives a_1 - 1 <= top, so a chain
+    ends once its running maximum over a_2, ... passes top.
     """
     n = p.size
-    inner = np.full(n, top + 1, dtype=np.int64)  # largest interior digit; top + 1 once ended early
+    a1 = q // p
+    inner = np.full(n, top + 1, dtype=np.int64)  # m; top + 1 once ended early
     last = np.zeros(n, dtype=np.int64)
-    for _, b, d, r, (idx, mx) in _euclid_rounds(q, p, np.arange(n), np.zeros(n, dtype=np.int64)):
-        fin = (r == 0) & (b > 0)
+    for _, b, d, r, (idx, mx) in _euclid_rounds(p, q - a1 * p, np.arange(n), np.zeros(n, dtype=np.int64)):
+        fin = np.flatnonzero((r == 0) & (b > 0))
         i = idx[fin]
         inner[i] = mx[fin]
         last[i] = d[fin]
         np.maximum(mx, d, out=mx)
-        r[mx > top] = 0
-    return np.minimum(np.maximum(inner, last - 1), top + 1), np.minimum(np.maximum(inner, last), top + 1)
+        np.putmask(r, mx > top, 0)
+    mirror_inner = np.maximum(inner, a1 - 1)
+    np.maximum(inner, a1, out=inner)
+    ends = (last - 1, last)  # the relaxed and the strict rule
+    return tuple(np.minimum(np.maximum(head, end), top + 1) for head in (inner, mirror_inner) for end in ends)
 
 
-def _coprime_pairs(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(q, p) columns of every coprime pair with 1 <= p < q and lo <= q < hi, in chunks of about _PAIR_CHUNK pairs."""
-    qs: list[np.ndarray] = []
+def _coprime_pairs(lo: int, hi: int, top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(q, p) columns of the coprime pairs that _levels takes, lo <= q < hi, in chunks of at least _PAIR_CHUNK pairs.
+
+    Those are the p with max(1, q/(top + 2)) < p < q/2, sieved per q over
+    that window alone (arith._coprime_mask); each stands for itself and its
+    mirror q - p. Of the other p < q/2, p = 1 gives 1/q and (q - 1)/q (see
+    _level_columns), and the rest have a_1 - 1 > top, so neither they nor
+    their mirrors are within top. A q is never split across chunks.
+    """
+    qs: list[int] = []
     ps: list[np.ndarray] = []
     size = 0
     for q in range(lo, hi):
-        p = coprime_array(q)
-        qs.append(np.full(p.size, q, dtype=np.int64))
-        ps.append(p)
-        size += p.size
-        if size >= _PAIR_CHUNK or q == hi - 1:
-            yield (np.concatenate(qs), np.concatenate(ps)) if len(ps) > 1 else (qs[0], ps[0])
+        start, stop = max(2, q // (top + 2) + 1), (q + 1) // 2
+        if start < stop:
+            qs.append(q)
+            ps.append(start + np.flatnonzero(_coprime_mask(factorize(q).primes, start, stop)))
+            size += ps[-1].size
+        if ps and (size >= _PAIR_CHUNK or q == hi - 1):
+            yield np.repeat(np.array(qs, dtype=np.int64), [p.size for p in ps]), np.concatenate(ps)
             qs, ps, size = [], [], 0
+
+
+def _level_columns(lo: int, hi: int, top: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(q, p, relaxed, strict) columns of every coprime p/q, lo <= q < hi, whose level can be at most top; levels capped at top + 1.
+
+    The first chunk holds 1/q = [q] (levels q - 1 and q) and
+    (q - 1)/q = [1, q - 1] (levels max(1, q - 2) and q - 1) for the
+    q <= top + 2, past which neither is within top. Each later chunk is one
+    _levels run over a _coprime_pairs chunk, its pairs p/q followed by
+    their mirrors. Every pair left out has both levels past top.
+    """
+    q = np.arange(lo, min(hi, top + 3), dtype=np.int64)
+    m = q[q > 2]  # 1/2 is its own mirror
+    yield (
+        np.concatenate((q, m)),
+        np.concatenate((np.ones_like(q), m - 1)),
+        np.minimum(np.concatenate((q - 1, np.maximum(m - 2, 1))), top + 1),
+        np.minimum(np.concatenate((q, m - 1)), top + 1),
+    )
+    for q, p in _coprime_pairs(lo, hi, top):
+        relaxed, strict, mirror_relaxed, mirror_strict = _levels(q, p, top)
+        yield (
+            np.concatenate((q, q)),
+            np.concatenate((p, q - p)),
+            np.concatenate((relaxed, mirror_relaxed)),
+            np.concatenate((strict, mirror_strict)),
+        )
 
 
 def _block_span(q: int) -> tuple[int, int]:
@@ -300,11 +353,15 @@ class _Block(NamedTuple):
 
 
 def _build_block(lo: int, hi: int, K: int) -> _Block:
-    """One _levels run over the coprime pairs of lo <= q < hi, then one _excursions run over their members."""
-    chunks = list(_coprime_pairs(lo, hi))
-    q, p = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
-    relaxed, strict = _levels(q, p, K)
+    """The level-K members of lo <= q < hi, then one _excursions run over them.
+
+    The members are read off _level_columns at top = K, one folded _levels
+    run per pair chunk, and sorted by (q, p): each folded chunk lists p
+    ascending and its mirrors q - p after it.
+    """
+    q, p, relaxed, strict = map(np.concatenate, zip(*_level_columns(lo, hi, K)))
     keep = np.flatnonzero(relaxed <= K)
+    keep = keep[np.lexsort((p[keep], q[keep]))]
     q, p = q[keep], p[keep]
     starts = np.searchsorted(q, np.arange(lo, hi + 1))
     return _Block(lo, starts, p, strict[keep] <= K, *_peaks(q, p))
@@ -346,10 +403,15 @@ def members(q: int, K: int, strict: bool = False) -> np.ndarray:
 
 
 def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
-    """Censuses at several digit bounds from one batched digit-filter pass over all p/q with q <= Q.
+    """Censuses at several digit bounds from one folded digit-filter pass over the p/q with q <= Q.
 
-    Pairs are tallied by q and by the least bound at or above their level
-    (len(set(Ks)) + 1 columns), and cumulative sums give every census.
+    _level_columns reads the levels of every p/q that can be a member at
+    the largest bound: one _levels run per chunk of folded pairs yields p
+    and its mirror q - p. Pairs are tallied by q and by the least bound at
+    or above their level (len(set(Ks)) + 1 columns, the last for a level
+    above every bound), and cumulative sums give every census. The pairs
+    never run have a level above every bound, so they would land only in
+    that last column, which no census reads.
     """
     if Q < 2:
         raise ValueError("Q must be >= 2")
@@ -359,8 +421,8 @@ def brute_force_censuses(Q: int, Ks: Sequence[int]) -> dict[int, ZarembaCensus]:
     bounds = np.array(sorted({min(K, Q) for K in Ks}), dtype=np.int64)
     width = bounds.size + 1
     tallies = np.zeros((2, (Q + 1) * width), dtype=np.int64)
-    for q, p in _coprime_pairs(2, Q + 1):
-        for tally, level in zip(tallies, _levels(q, p, int(bounds[-1]))):
+    for q, _, *levels in _level_columns(2, Q + 1, int(bounds[-1])):
+        for tally, level in zip(tallies, levels):
             np.add.at(tally, q * width + np.searchsorted(bounds, level), 1)
     relaxed, strict = tallies.reshape(2, Q + 1, width).cumsum(axis=2)
     col = {K: int(np.searchsorted(bounds, min(K, Q))) for K in Ks}

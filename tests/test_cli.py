@@ -14,6 +14,7 @@ from cforbit.cli import (
     _SUBCOMMANDS,
     ConfigError,
     ExperimentConfig,
+    _build_parser,
     _fmt,
     _json_value,
     build_config,
@@ -103,6 +104,22 @@ def test_config_file_merging(tmp_path):
     path.write_text("q=101\nformat=xml\n")
     with pytest.raises(ConfigError, match="format must be csv or json"):
         capture(["dispersion", "--config", str(path), "--threads", "1"])
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as failed:
+        capture(["dispersion", "--q", "101", "--no-such-flag"])
+    assert failed.value.code == 2
+    # nothing of an earlier parse, failed or not, carries over to the next
+    assert capture(["dispersion", "--q", "1009", "--delta", "0.3", "--threads", "1"]).delta == 0.3
+    cfg = capture(["dispersion", "--q", "101", "--threads", "1"])
+    assert (cfg.subcommand, cfg.q, cfg.delta, cfg.threads) == ("dispersion", (101,), 0.05, 1)
+    path = tmp_path / "run.cfg"
+    path.write_text("q=211\ndelta=0.1\n")
+    cfg = capture(["dispersion", "--config", str(path), "--delta", "0.2", "--threads", "1"])
+    assert (cfg.q, cfg.delta) == ((211,), 0.2)
+    assert capture(["dispersion", "--config", str(path), "--threads", "1"]).delta == 0.1
 
 
 def test_threads_default_is_the_core_count(monkeypatch, tmp_path):

@@ -500,14 +500,20 @@ def test_digit_one_frequency_is_frozen(q):
 @settings(max_examples=60)
 @given(st.integers(min_value=3, max_value=5000), st.integers(min_value=1, max_value=8))
 def test_levels_and_length_histogram_match_the_scalar_chain(q, top):
-    ps = coprime_array(q)
-    fractions = [ReducedFraction(p, q) for p in ps.tolist()]
-    words = [cfe_digits(x).digits for x in fractions]
-    qs = np.full(ps.size, q, dtype=np.int64)
+    every = coprime_array(q)
+    fractions = [ReducedFraction(p, q) for p in every.tolist()]
+    words = {x.p: cfe_digits(x).digits for x in fractions}
+
+    def levels(p, cap):
+        w = words[p]
+        return min(max([*w[:-1], w[-1] - 1]), cap + 1), min(max(w), cap + 1)
+
     for cap in (top, q):
-        relaxed, strict = _levels(qs, ps, cap)
-        assert relaxed.tolist() == [min(max([*w[:-1], w[-1] - 1]), cap + 1) for w in words]
-        assert strict.tolist() == [min(max(w), cap + 1) for w in words]
+        # the folded window: each p with q/(cap + 2) < p < q/2 stands for itself and q - p
+        ps = every[(every >= 2) & (2 * every < q) & (every * (cap + 2) > q)]
+        relaxed, strict, mirror_relaxed, mirror_strict = _levels(np.full(ps.size, q, dtype=np.int64), ps, cap)
+        assert list(zip(relaxed.tolist(), strict.tolist())) == [levels(p, cap) for p in ps.tolist()]
+        assert list(zip(mirror_relaxed.tolist(), mirror_strict.tolist())) == [levels(q - p, cap) for p in ps.tolist()]
     counts = _sweep(q, 16).len_counts
     assert {n: int(c) for n, c in enumerate(counts) if c} == dict(Counter(map(cfe_len, fractions)))
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cforbit import zaremba
 from cforbit.arith import coprime_array, euler_phi
+from cforbit.cfe import ReducedFraction, cfe_digits
 from cforbit.zaremba import (
     _PAIR_CHUNK,
     HeightBoundError,
@@ -18,7 +19,6 @@ from cforbit.zaremba import (
     ZarembaCensus,
     _block_span,
     _coprime_pairs,
-    _levels,
     brute_force_censuses,
     enumerate_bounded,
     exponent_fit,
@@ -100,6 +100,10 @@ def test_census_holds_tallies_behind_read_only_views():
         census.counts[5] = 1
     assert 6 not in census.counts and census.counts.get(6) is None and census.counts.get(-1) is None
     assert census.counts[5] == 2 and census.counts.get("5") is None
+    # a non-integer key, a negative q, a zero entry, and q past Q (even past int64) are all missing
+    for q in ("5", 5.0, -1, 6, 301, 10**30):
+        with pytest.raises(KeyError):
+            census.counts[q]
     assert len(census.counts) == sum(1 for _ in census.rows())
     # a view is a mapping like any other: it equals the dict of its entries
     assert census.counts == dict(census.counts)
@@ -265,11 +269,17 @@ def test_members_and_heights_are_frozen(K):
         assert (len(reports), _sha(reports)) == FROZEN_HEIGHTS[K]
 
 
+def _scalar_levels(p, q):
+    """Relaxed and strict level of p/q from its canonical word."""
+    word = cfe_digits(ReducedFraction(p, q)).digits
+    return max([*word[:-1], word[-1] - 1]), max(word)
+
+
 def _reference(q, K):
     """Relaxed and strict members of q alone, and its height report from a scalar walk of every chain."""
-    ps = coprime_array(q)
-    relaxed, strict = _levels(np.full(ps.size, q, dtype=np.int64), ps, K)
-    ps, strict_ps = ps[relaxed <= K], ps[strict <= K]
+    every = coprime_array(q)
+    relaxed, strict = np.array([_scalar_levels(p, q) for p in every.tolist()]).T
+    ps, strict_ps = every[relaxed <= K], every[strict <= K]
     bound = math.sqrt(2.0) * (K + 1) ** 1.5
     if not ps.size:
         return ps, strict_ps, HeightBoundReport(q, K, bound, 0, 0.0, 0.0, 0)
@@ -332,13 +342,43 @@ def test_block_span_rule():
 
 
 def test_coprime_pairs_of_a_range():
-    for lo, hi in ((2, 3), (64, 128), (2000, 2003), (5000, 5001)):
-        q, p = (np.concatenate(c) for c in zip(*_coprime_pairs(lo, hi)))
-        assert np.array_equal(p, np.concatenate([coprime_array(x) for x in range(lo, hi)]))
-        assert np.array_equal(q, np.repeat(np.arange(lo, hi), [euler_phi(x) for x in range(lo, hi)]))
+    # the window q/(top + 2) < p < q/2, p >= 2, of the coprime residues
+    for lo, hi in ((2, 3), (2, 40), (2, 400), (64, 128), (2000, 2003), (5000, 5001), (8190, 8194)):
+        for top in (1, 3, 8, 10**9):
+            chunks = list(_coprime_pairs(lo, hi, top))
+            want = [(x, y) for x in range(lo, hi) for y in coprime_array(x).tolist() if 2 <= y < x / 2 and x < y * (top + 2)]
+            assert [(x, y) for q, p in chunks for x, y in zip(q.tolist(), p.tolist())] == want
+            assert all(q.dtype == p.dtype == np.int64 for q, p in chunks)
+            # every chunk but the last holds at least _PAIR_CHUNK pairs, and no q is split
+            assert all(p.size >= _PAIR_CHUNK for _, p in chunks[:-1])
+            assert all(a[0][-1] < b[0][0] for a, b in zip(chunks, chunks[1:]))
 
 
-@pytest.mark.parametrize("q", [100, 3001, _PAIR_CHUNK + 3])
+@pytest.mark.parametrize("Q", range(2, 9))
+def test_digit_filter_of_the_smallest_q_against_scalar_words(Q):
+    # 1/q, (q - 1)/q and 1/2, its own mirror, sit outside the folded window
+    Ks = (1, 2, 3, Q, 10**9)
+    censuses = brute_force_censuses(Q, Ks)
+    for K in Ks:
+        for kind, counts in enumerate((censuses[K].counts, censuses[K].strict_counts)):
+            want = {}
+            for q in range(2, Q + 1):
+                n = sum(_scalar_levels(p, q)[kind] <= K for p in coprime_array(q).tolist())
+                if n:
+                    want[q] = n
+            assert dict(counts) == want, (K, kind)
+
+
+def test_digit_filter_does_not_read_the_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle ran the digit-tree walk")
+
+    want = enumerate_bounded(300, 2)
+    monkeypatch.setattr(zaremba, "enumerate_bounded", refuse)
+    assert brute_force_censuses(300, (1, 2, 3))[2] == want
+
+
+@pytest.mark.parametrize("q", [100, 3001, 4099, _PAIR_CHUNK + 3])  # blocks of 64, 4, 2 and 1 q
 def test_returned_members_are_the_callers_own(q):
     for strict in (False, True):
         want = members(q, 3, strict).copy()
