@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cfe import ReducedFraction, cfe_digits
 from .crosssec import crossing_sequence, kappa_quadrature
-from .lattice import SymmetryError, orbit_samples, verify_symmetry
+from .lattice import LatticeError, SymmetryError, orbit_samples, verify_symmetry
 from .stats import (
     DEFAULT_BINS,
     SWEEP_Q_MIN,
@@ -745,7 +745,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if tmp is not None:
                     os.unlink(tmp)
                 raise
-    except (AssertionError, SymmetryError, RuntimeError) as e:
+    except (AssertionError, LatticeError, RuntimeError) as e:
         _error_line("invariant", str(e))
         return 2
     except ValueError as e:

@@ -127,17 +127,21 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     The arguments broadcast to one shape and the results come out flat.
     Each column is Gauss-reduced: the shorter row, times the projection
     of the other onto it rounded half to even, is taken from the longer
-    until that projection rounds to 0. The pair is then oriented and its
-    shape walked by _fd_rounds into {|x| <= 1/2, x^2 + y^2 >= 1}.
-    Boundary ties go to x = -1/2 (a computed x of exactly 1/2) and to the
-    left arc (x^2 + y^2 within 1e-15 of 1). The first rule misses an edge
-    point whose x rounds short of 1/2: 1/2 at t = 0.1 and 1.35 prints as
-    fd_x = 0.5 and falls in a histogram's rightmost x cell (ROADMAP item
-    1 fixes it). y is the squared height, so at least sqrt(3)/2, the
-    hexagonal lattice's. Every column takes the same float operations in
-    the same order, so its result does not depend on the batch it runs in. Finished columns are dropped by a
-    keep mask after every round. Its callers are orbit_samples and
-    stats.orbit_fd_histogram; the crossing detector walks with _fd_words.
+    until that projection rounds to 0, or until a step would undo the
+    last with no swap between (a tie |w| = |w - u|, where float noise
+    would step +1, -1, ... for ever: the two-cycle stop). The pair is then
+    oriented and its shape walked by _fd_rounds into {|x| <= 1/2,
+    x^2 + y^2 >= 1}. Ties go left by the walk's two rules: each translate
+    x - floor(x + 1/2) is below 1/2, and a point within 1e-15 of the unit
+    circle with x > 0 is reflected to -x. An edge x a few ulps short of
+    1/2 escapes both: 1/2 at t = 0.1 and 1.35 prints as fd_x = 0.5 and
+    falls in a histogram's rightmost x cell (ROADMAP item 2 fixes it).
+    y is the squared height, so at least sqrt(3)/2, the hexagonal
+    lattice's. Every column takes the same float operations in the same
+    order, so its result does not depend on the batch it runs in. Finished
+    columns are dropped by a keep mask after every round. Its callers are
+    orbit_samples and stats.orbit_fd_histogram; the crossing detector
+    walks with _fd_words.
     """
     a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
     size = a.size
@@ -145,6 +149,7 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     col = np.arange(size)
     n1 = a * a + b * b
     n2 = c * c + d * d
+    last = np.zeros(size)  # each live column's last multiplier; a swap since voids it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_REDUCE_IT):
             swap = n1 > n2
@@ -153,7 +158,7 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
             mu = np.round((a * c + b * d) / n1)
             if not np.isfinite(mu).all():
                 raise LatticeError("basis is degenerate or not finite")
-            done = mu == 0
+            done = (mu == 0) | ((mu == -last) & ~swap)
             idx = col[done]
             ra[idx], rb[idx], rc[idx], rd[idx] = a[done], b[done], c[done], d[done]
             keep = ~done
@@ -163,8 +168,9 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
             c = c - mu * a
             d = d - mu * b
             n2 = c * c + d * d
+            last = mu
         else:
-            # cannot fire: Gauss reduction of finite rows ends in O(log of their length ratio) rounds
+            # finite rows reduce in O(log of their length ratio) rounds; the two-cycle stop ends a tie
             raise LatticeError("reduction did not terminate")  # pragma: no cover
     a, b, c, d = _swap_rows(ra * rd - rb * rc < 0, ra, rb, rc, rd)
     den = a * a + b * b
@@ -175,7 +181,6 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
         xo = x[out]
         fx[idx] = np.where((r2[out] <= 1.0 + 1e-15) & (xo > 0), -xo, xo)
         fy[idx] = y[out]
-    fx[fx == 0.5] = -0.5
     return fx, fy
 
 

@@ -11,16 +11,17 @@ run Euclid rounds on int32 columns below q = 2^31 (int64 above), so
 memory is bounded whatever q is (per worker, under 2 MB traced for a
 sweep at the default binning, about 5 MB for the mass-escape count).
 The sweeps and the mass-escape count split their chunks across up to
-`threads` workers, each with its own integer tallies (and, counting
-mass escape, its own 50-digit decimal context). They run the one
-Euclid kernel, arith._euclid_rounds, which the census oracle of zaremba
-and the excursions of lattice run too. They keep integer tallies only:
-the length statistics read a histogram of len(p/q), not one length per
-residue, and the averaged orbit measure and its digit-1 mass read
-counts of (length, bin) and (length, digit) pairs, so every result is
-an exact rational rounded once to a float, whatever the chunking.
-Gauss-map points are binned exactly: the bin of B/A with nbins bins is
-(B * nbins) // A, never a float comparison.
+`threads` pool workers, each with its own integer tallies (and,
+counting mass escape, its own 50-digit decimal context), and raise the
+calling thread's error, or else the first failed worker's, once all are
+joined. They run the one Euclid kernel, arith._euclid_rounds, which the
+census oracle of zaremba and the excursions of lattice run too. They
+keep integer tallies only: the length statistics read a histogram of
+len(p/q), not one length per residue, and the averaged orbit measure
+and its digit-1 mass read counts of (length, bin) and (length, digit)
+pairs, so every result is an exact rational rounded once to a float,
+whatever the chunking. Gauss-map points are binned exactly: the bin of
+B/A with nbins bins is (B * nbins) // A, never a float comparison.
 
 The sweeps and the mass-escape count run the kernel over p <= q/2 only
 and fold in the mirror q - p. Its orbit is the reflection of p's under
@@ -178,43 +179,36 @@ def _folded_pass(
     under a lock, and None once none is left, so the chunks stay streamed
     and each goes to exactly one worker. There are min(threads, cpu
     count, chunk count) workers, so a one-chunk pass (at most 2^15
-    residues p <= q/2, of which there are (phi + 1) // 2) starts no
-    thread. The calling thread is worker 0, and the others are started
-    threads, all joined before the first exception of any worker is
-    raised here. Each worker returns a tuple of integer tallies, which are
-    added field by field into worker 0's: the same integers in any order.
+    residues p <= q/2, of which there are (phi + 1) // 2) starts no pool.
+    The calling thread is worker 0 and the others run on a thread pool,
+    joined before the calling thread's error, or else the first failed
+    worker's, is raised here. Each worker returns a tuple of integer
+    tallies, added field by field into worker 0's: the same integers in any order.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     chunks = _residue_chunks(q, q // 2 + 1)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
+    lock, failed = threading.Lock(), threading.Event()
 
     def pull() -> Optional[np.ndarray]:
         with lock:  # once a worker has failed, the others stop at their next chunk
-            return None if errors else next(chunks, None)
+            return None if failed.is_set() else next(chunks, None)
+
+    def run() -> tuple:
+        try:
+            return work(pull)
+        except BaseException:
+            failed.set()
+            raise
 
     workers = min(threads, os.cpu_count() or 1, -(-((phi + 1) // 2) // _CHUNK))
-    results: list = [None] * workers
-
-    def run(i: int) -> None:
-        try:
-            results[i] = work(pull)
-        except BaseException as e:  # re-raised on the calling thread after the join
-            errors.append(e)
-
-    started = []
-    try:
-        for i in range(1, workers):
-            worker = threading.Thread(target=run, args=(i,))
-            worker.start()
-            started.append(worker)
-        run(0)
-    finally:
-        for worker in started:
-            worker.join()
-    if errors:
-        raise errors[0]
+    if workers == 1:
+        return work(pull)
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a pass with extra workers
+    with ThreadPoolExecutor(workers - 1) as pool:
+        extra = [pool.submit(run) for _ in range(1, workers)]
+        results = [run()]
+    results += [future.result() for future in extra]
     return tuple(functools.reduce(operator.iadd, parts) for parts in zip(*results))
 
 

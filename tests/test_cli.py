@@ -23,6 +23,7 @@ from cforbit.cli import (
     read_config_file,
     run,
 )
+from cforbit.lattice import LatticeError
 from cforbit.stats import DEFAULT_BINS, haar_fd_histogram, orbit_fd_histogram
 from conftest import read_rows
 
@@ -424,6 +425,48 @@ def test_main_invariant_failures_exit_2(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err.splitlines()[0]) == {
         "error": "invariant", "message": "runner dropped columns ['target', 'abs_err']"
     }
+
+
+def test_a_lattice_error_exits_2(capsys, monkeypatch):
+    spec = _SUBCOMMANDS["kappa"]
+
+    def failing(cfg):
+        raise LatticeError("synthetic kernel failure")
+        yield
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kappa", dataclasses.replace(spec, runner=failing))
+    assert main(["kappa", "--threads", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [{"error": "invariant", "message": "synthetic kernel failure"}]
+
+
+@pytest.mark.parametrize("q, discrepancy", [(17, "0.613236487093"), (77, "0.127446096367"), (99, "0.118043818213")])
+def test_fd_hist_rows_through_the_edge_ties(q, discrepancy, capsys):
+    # the sample takes every residue, and the grid holds t = ln q, where the orbits of 1/q and
+    # (q - 1)/q peak on the edge x = +-1/2
+    assert main(["fd-hist", "--q", str(q)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows == ["q,dt,grid,sample_size,seed,cells,discrepancy", f"{q},0.05,24,600,0,536,{discrepancy}"]
+
+
+@pytest.mark.parametrize("flags, config, err", [
+    (["--t", "nan"], None, "argument --t: invalid _cast_float value: 'nan'"),
+    (["--M", ","], None, "argument --M: invalid cast_list value: ','"),
+    ([], "t=inf\n", None),
+])
+def test_non_finite_and_empty_values_are_config_errors(flags, config, err, capsys, tmp_path):
+    argv = ["mass-escape", "--q", "101", "--M", "2", "--t", "3", "--threads", "1", *flags]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = ["mass-escape", "--q", "101", "--M", "2", "--config", str(path)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    if err is None:
+        assert json.loads(lines[-1]) == {"error": "config", "message": "config key t: 'inf' is not finite"}
+    else:
+        assert err in lines[-2]
+        assert json.loads(lines[-1]) == {"error": "config", "message": "invalid command line"}
 
 
 def test_unequal_columns_exit_2(capsys, monkeypatch):

@@ -94,3 +94,14 @@ def test_empty_batch_and_degenerate_bases():
     for row in ((1.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 1.0), (math.nan, 0.0, 0.0, 1.0)):
         with pytest.raises(LatticeError):
             _fd_points(*row)
+
+
+def test_orbit_peaks_of_the_end_residues_end_on_the_edge():
+    # at e^{t/2} = sqrt(q) the orbits of 1/q and (q - 1)/q peak at y = q/2 with x = q/2 mod 1:
+    # for odd q a tie on the edge x = +-1/2, where float noise cycles the Gauss loop without the two-cycle stop
+    q = np.tile(np.arange(3, 200001, dtype=np.float64), 2)
+    p = np.concatenate([np.ones(q.size // 2), q[: q.size // 2] - 1])
+    e = np.sqrt(q)
+    x, y = _fd_points(1.0 / e, (p / q) * e, 0.0, e)
+    assert np.abs(y / (q / 2) - 1).max() < 1e-9
+    assert np.abs(np.abs(x) - (q % 2) / 2).max() < 1e-9

@@ -41,9 +41,9 @@ def test_import_does_not_load_mpmath():
 
 
 def test_mpmath_and_threading_each_stay_in_one_module():
-    # the 50-digit quadrature is crosssec's and the worker layer is stats'; the
-    # mass-escape margin checks run on decimal, whose context is per thread
-    importers = {"mpmath": set(), "threading": set()}
+    # the 50-digit quadrature is crosssec's and the worker layer (threads and their
+    # pool) is stats'; the mass-escape margin checks run on decimal, whose context is per thread
+    importers = {"mpmath": set(), "threading": set(), "concurrent": set()}
     for path in sorted(Path(cforbit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -55,4 +55,14 @@ def test_mpmath_and_threading_each_stay_in_one_module():
             for name in names:
                 if name.split(".")[0] in importers:
                     importers[name.split(".")[0]].add(path.name)
-    assert importers == {"mpmath": {"crosssec.py"}, "threading": {"stats.py"}}
+    assert importers == {"mpmath": {"crosssec.py"}, "threading": {"stats.py"}, "concurrent": {"stats.py"}}
+
+
+def test_a_one_chunk_pass_does_not_load_the_thread_pool():
+    # only a pass with extra workers imports concurrent.futures
+    code = (
+        "import sys, cforbit; cforbit.mass_escape_count(10007, 2.0, 3.0, threads=8);"
+        " assert 'concurrent.futures' not in sys.modules"
+    )
+    src = str(Path(cforbit.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)

@@ -17,6 +17,7 @@ from cforbit.zaremba import (
     HeightBoundError,
     HeightBoundReport,
     ZarembaCensus,
+    _Tally,
     _block_span,
     _coprime_pairs,
     brute_force_censuses,
@@ -88,6 +89,22 @@ def test_blocked_walk_matches_the_digit_filter(Q, K):
     want = _oracle(Q)[K]
     assert tree == want
     assert list(tree.rows()) == list(want.rows())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_bounded(10, 0), "K must be >= 1"),
+    (lambda: enumerate_bounded(1, 2), "Q must be >= 2"),
+    (lambda: brute_force_censuses(1, [2]), "Q must be >= 2"),
+    (lambda: brute_force_censuses(10, []), "digit bounds must be >= 1"),
+    (lambda: brute_force_censuses(10, [2, 0]), "digit bounds must be >= 1"),
+    (
+        lambda: ZarembaCensus(1, 5, _Tally(np.array([0, 0, 1, 1, 0, 0])), _Tally(np.array([0, 0, 1, 0, 0, 2]))),
+        "strict count exceeds relaxed count at q=5",
+    ),
+], ids=["K<1", "Q<2", "filter Q<2", "no bounds", "bound<1", "tally views"])
+def test_census_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_census_holds_tallies_behind_read_only_views():
