@@ -9,6 +9,7 @@ excursions all run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -48,6 +49,7 @@ class Modulus:
 
 def factorize(q: int) -> Modulus:
     """Trial division up to sqrt(q). q = 1 gets the empty factorization."""
+    q = operator.index(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
     n = q

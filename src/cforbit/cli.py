@@ -176,6 +176,8 @@ class ExperimentConfig:
             raise ConfigError(f"every q must be >= {SWEEP_Q_MIN} for {self.subcommand}")
         if self.subcommand == "zaremba-height" and any(x > HEIGHT_Q_MAX for x in self.q or ()):
             raise ConfigError(f"every q must be <= {HEIGHT_Q_MAX} for {self.subcommand}")
+        if self.subcommand in _SINGLE_Q and len(self.q or ()) != 1:
+            raise ConfigError(f"{self.subcommand} takes a single q")
 
     def echo(self) -> dict[str, object]:
         """Config as an ordered mapping, embedded into every output.
@@ -336,15 +338,8 @@ def _one_row(cells: Mapping[str, object]) -> dict[str, tuple[object]]:
     return {c: (v,) for c, v in cells.items()}
 
 
-def _single_q(cfg: ExperimentConfig) -> int:
-    assert cfg.q is not None
-    if len(cfg.q) != 1:
-        raise ConfigError(f"{cfg.subcommand} takes a single q")
-    return cfg.q[0]
-
-
 def _run_cfe(cfg: ExperimentConfig) -> Iterator[Block]:
-    x = ReducedFraction(cfg.p, _single_q(cfg))
+    x = ReducedFraction(cfg.p, cfg.q[0])
     w = cfe_digits(x)
     yield _one_row({
         "p": x.p,
@@ -392,13 +387,13 @@ def _run_dispersion(cfg: ExperimentConfig) -> Iterator[Block]:
 
 
 def _run_orbit(cfg: ExperimentConfig) -> Iterator[Block]:
-    x = ReducedFraction(cfg.p, _single_q(cfg))
+    x = ReducedFraction(cfg.p, cfg.q[0])
     columns = _SUBCOMMANDS["orbit"].columns
     yield dict(zip(columns, (c.tolist() for c in orbit_samples(x, cfg.dt, cfg.t_max)))), None
 
 
 def _run_cross_section(cfg: ExperimentConfig) -> Iterator[Block]:
-    records = crossing_sequence(ReducedFraction(cfg.p, _single_q(cfg)))
+    records = crossing_sequence(ReducedFraction(cfg.p, cfg.q[0]))
     yield {
         "k": list(range(1, len(records) + 1)),
         "y": [float(rec.point.y) for rec in records],
@@ -415,9 +410,8 @@ def _run_kappa(cfg: ExperimentConfig) -> Iterator[Block]:
 
 
 def _run_mass_escape(cfg: ExperimentConfig) -> Iterator[Block]:
-    q = _single_q(cfg)
     for M in cfg.M or ():
-        r = mass_escape_count(q, M, cfg.t, threads=cfg.threads)
+        r = mass_escape_count(cfg.q[0], M, cfg.t, threads=cfg.threads)
         # the bound underflows to 0.0 only at a huge M, where the count is 0
         ratio = r.count / float(r.bound) if r.count else 0.0
         yield _one_row({**asdict(r), "bound": float(r.bound), "ratio": ratio}), None
@@ -429,7 +423,7 @@ def _histogram_payload(h: FdHistogram) -> dict[str, object]:
 
 
 def _run_fd_hist(cfg: ExperimentConfig) -> Iterator[Block]:
-    q = _single_q(cfg)
+    q = cfg.q[0]
     h = orbit_fd_histogram(
         q, dt=cfg.dt, grid=cfg.grid, sample_size=cfg.sample_size, seed=cfg.seed
     )
@@ -507,6 +501,9 @@ _COMMON = ("seed", "threads", "format", "output")
 
 # subcommands that run full sweeps; their q list is checked whole before any output
 _SWEEPS = ("sweep-len", "sweep-digits", "dispersion")
+
+# subcommands that follow one fraction or one modulus; their runners read q[0]
+_SINGLE_Q = ("cfe", "orbit", "cross-section", "mass-escape", "fd-hist")
 
 
 @dataclass(frozen=True)
@@ -657,7 +654,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 _flag(name),
                 dest=name,
-                type=_PARAMS[name]["cast"],
                 default=argparse.SUPPRESS,
                 help=_PARAMS[name]["help"],
             )
@@ -668,21 +664,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def build_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     """Parse flags, fold in the optional config file, validate everything.
 
-    A config-file value goes through the same cast and check as its flag.
+    argparse only matches flag names; every value, from the file and then
+    from the flags (so a flag overrides its key), goes through one cast
+    loop, and a cast error names its source: `flag --t` or `config key t`.
     """
     flags = vars(_build_parser().parse_args(argv))
     sub = _SUBCOMMANDS[flags.pop("subcommand")]
+    file = read_config_file(flags.pop("config")) if "config" in flags else {}
+    entries = [(f"config key {k}", k, text) for k, text in file.items()]
+    entries += [(f"flag {_flag(k)}", k, text) for k, text in flags.items()]
 
     values: dict[str, object] = {}
-    if "config" in flags:
-        for key, text in read_config_file(flags.pop("config")).items():
-            if key not in sub.params and key not in _COMMON:
-                raise ConfigError(f"config key {key!r} is not a {sub.name} parameter")
-            try:
-                values[key] = _PARAMS[key]["cast"](text)
-            except ValueError as e:
-                raise ConfigError(f"config key {key}: {e}") from e
-    values.update(flags)  # flags override the file
+    for source, key, text in entries:
+        if key not in sub.params and key not in _COMMON:
+            raise ConfigError(f"config key {key!r} is not a {sub.name} parameter")
+        try:
+            values[key] = _PARAMS[key]["cast"](text)
+        except ValueError as e:
+            raise ConfigError(f"{source}: {e}") from e
     for name, default in sub.params.items():
         if name not in values:
             if default is _REQUIRED:

@@ -235,6 +235,8 @@ def sample_section(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     The y-marginal has density 1/((1+y) ln 2); z is uniform on
     (0, 1/(1+y)] given y.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     y = np.exp2(rng.uniform(0.0, 1.0, n)) - 1.0
     z = rng.uniform(0.0, 1.0, n) / (1.0 + y)
     eps = rng.choice((-1, 1), n)

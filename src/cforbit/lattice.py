@@ -249,11 +249,14 @@ def orbit_samples(
     through _fd_points in one pass. Past it the lattice is spanned by
     q (e^{-t/2}, 0) and (s e^{-t/2}, e^{t/2}/q), s = p^{-1} mod q, so its
     point is s/q less its nearest integer, at height e^t/q^2 > 1, with the
-    tie rules of _fd_points. height is sqrt(fd_y). Raises ValueError naming
-    the first t whose point is not finite in float64.
+    tie rules of _fd_points. height is sqrt(fd_y). Raises ValueError for a
+    dt that is not finite and positive, a t_max that is not finite and
+    >= 0, and naming the first t whose point is not finite in float64.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if t_max is not None and not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be None or finite and >= 0, got {t_max}")
     life = 2.0 * math.log(x.q)
     if t_max is None:
         t_max = life

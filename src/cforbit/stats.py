@@ -363,7 +363,7 @@ def _sweep(q: int, bins: int, threads: int = 1) -> _SweepData:
 
 def nu_bar(q: int, bins: int = DEFAULT_BINS) -> EmpiricalMeasure:
     """Average of nu_pq over all residues coprime to q; total weight 1."""
-    return EmpiricalMeasure(uniform_edges(bins), _sweep(int(q), bins).nu.copy())
+    return EmpiricalMeasure(uniform_edges(bins), _sweep(operator.index(q), bins).nu.copy())
 
 
 @dataclass(frozen=True)
@@ -386,7 +386,7 @@ def len_stats(q: int, bins: int = DEFAULT_BINS, *, threads: int = 1) -> SweepSum
     threads caps the workers the sweep's chunks are split across; the
     result does not depend on it.
     """
-    qi = int(q)
+    qi = operator.index(q)
     sd = _sweep(qi, bins, threads)
     mean = Fraction(sd.len_moment(1), sd.phi)
     var = Fraction(sd.len_moment(2), sd.phi) - mean * mean
@@ -403,7 +403,7 @@ def dispersion(q: int, delta: float, *, threads: int = 1) -> float:
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and positive, got {delta}")
-    qi = int(q)
+    qi = operator.index(q)
     sd = _sweep(qi, DEFAULT_BINS, threads)
     ratios = np.arange(sd.len_counts.size, dtype=np.float64) / (2.0 * math.log(qi))
     return int(sd.len_counts[np.abs(ratios - LEN_RATE) > delta].sum()) / sd.phi
@@ -415,7 +415,7 @@ def digit_one_frequency(q: int) -> float:
     The pooled share, every digit of every orbit with equal weight, is
     len_stats(q).digit_hist.counts[1] / .total.
     """
-    return _sweep(int(q), DEFAULT_BINS).digit1
+    return _sweep(operator.index(q), DEFAULT_BINS).digit1
 
 
 def _check_height(M: float) -> None:
@@ -477,7 +477,7 @@ def averaged_height_tail(q: int, M: float, sample_size: int = 2000, seed: int = 
     phi(1009) = 1008 value is pinned bit for bit.
     """
     _check_height(M)
-    qi = int(q)
+    qi = operator.index(q)
     if qi >= 2 and sample_size >= (phi := euler_phi(qi)):
         total = sum(_height_tails(qi, chunk, M).sum() for chunk in _residue_chunks(qi))
         return float(total / phi)
@@ -530,7 +530,7 @@ def mass_escape_count(
     a 50-digit decimal context of its thread, so the report does not
     depend on the thread count.
     """
-    qi = int(q)
+    qi = operator.index(q)
     if qi < 2:
         raise ValueError("q must be >= 2")
     if not 1 < M < math.inf:
@@ -672,7 +672,7 @@ def orbit_fd_histogram(
         raise ValueError("dt must lie in (0, 0.1]")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    qi = int(q)
+    qi = operator.index(q)
     residues = _residue_sample(qi, sample_size, seed)
     span = 2.0 * math.log(qi)
     n = max(1, int(math.ceil(span / dt)))

@@ -378,6 +378,7 @@ def _cached_block(lo: int, hi: int, K: int) -> _Block:
 
 def _block(q: int, K: int) -> _Block:
     """The block that serves q, for q <= HEIGHT_Q_MAX; a block of one q is built for the call and not kept."""
+    q = operator.index(q)
     if not 2 <= q <= HEIGHT_Q_MAX:
         raise ValueError("q must lie in [2, 10^6]")
     if K < 1:

@@ -70,6 +70,8 @@ def test_build_config_rejections():
         capture(["cfe", "--p", "0", "--q", "5"])
     with pytest.raises(ConfigError):
         capture(["cfe", "--p", "2"])
+    with pytest.raises(ConfigError, match="^cfe takes a single q$"):
+        capture(["cfe", "--p", "1", "--q", "5,7"])
     with pytest.raises(ConfigError):
         capture(["mass-escape", "--q", "97", "--M", "0.5", "--t", "1"])
     with pytest.raises(ConfigError):
@@ -450,8 +452,8 @@ def test_fd_hist_rows_through_the_edge_ties(q, discrepancy, capsys):
 
 
 @pytest.mark.parametrize("flags, config, err", [
-    (["--t", "nan"], None, "argument --t: invalid _cast_float value: 'nan'"),
-    (["--M", ","], None, "argument --M: invalid cast_list value: ','"),
+    pytest.param(["--t", "nan"], None, "flag --t: 'nan' is not finite", id="flag-t-nan"),
+    pytest.param(["--M", ","], None, "flag --M: empty number list", id="flag-M-empty"),
     ([], "t=inf\n", None),
 ])
 def test_non_finite_and_empty_values_are_config_errors(flags, config, err, capsys, tmp_path):
@@ -461,12 +463,33 @@ def test_non_finite_and_empty_values_are_config_errors(flags, config, err, capsy
         path.write_text(config)
         argv = ["mass-escape", "--q", "101", "--M", "2", "--config", str(path)]
     assert main(argv) == 1
+    # one config line, no argparse usage text
     lines = capsys.readouterr().err.splitlines()
-    if err is None:
-        assert json.loads(lines[-1]) == {"error": "config", "message": "config key t: 'inf' is not finite"}
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "config", "message": err or "config key t: 'inf' is not finite"}
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key, text, reason", [
+    ("seed", "x", "invalid literal for int() with base 10: 'x'"),
+    ("t", "nan", "'nan' is not finite"),
+    ("q", "5,x", "invalid literal for int() with base 10: 'x'"),
+    ("M", ",", "empty number list"),
+], ids=["int", "float", "int-list", "float-list"])
+def test_flag_and_config_key_casts_give_one_reason(source, key, text, reason, tmp_path):
+    flags = {"q": "101", "M": "2", "t": "3", "threads": "1"}
+    if source == "flag":
+        flags[key] = text
+        where = f"flag --{key}"
     else:
-        assert err in lines[-2]
-        assert json.loads(lines[-1]) == {"error": "config", "message": "invalid command line"}
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={text}\n")
+        flags.pop(key, None)  # a flag would override the file's value
+        flags["config"] = str(path)
+        where = f"config key {key}"
+    with pytest.raises(ConfigError) as e:
+        build_config(["mass-escape", *(x for k, v in flags.items() for x in (f"--{k}", v))])
+    assert str(e.value) == f"{where}: {reason}"
 
 
 def test_unequal_columns_exit_2(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -177,6 +178,15 @@ def test_sample_section_marginals():
     lo = np.arange(0, ys.size) / ys.size
     ks = max(float(np.max(np.abs(hi - cdf))), float(np.max(np.abs(lo - cdf))))
     assert ks < 0.02
+
+
+@pytest.mark.parametrize("draw", [sample_section, mean_return_time])
+@pytest.mark.parametrize("n", [0, -1])
+def test_section_samples_refuse_n_below_one(draw, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            draw(np.random.default_rng(0), n)
 
 
 def test_mean_return_time_matches_the_constant():

@@ -228,6 +228,22 @@ def test_orbit_rows_past_the_lifespan_keep_the_tie_rule():
     assert late.sum() == 8 and (fx[late] == -0.5).all() and (fy[late] > 1).all()
 
 
+@pytest.mark.parametrize("dt, t_max, message", [
+    (math.nan, None, "dt must be finite and positive, got nan"),
+    (math.inf, None, "dt must be finite and positive, got inf"),
+    (0.0, None, "dt must be finite and positive, got 0.0"),
+    (0.1, -1.0, "t_max must be None or finite and >= 0, got -1.0"),
+    (0.1, math.inf, "t_max must be None or finite and >= 0, got inf"),
+    (0.1, math.nan, "t_max must be None or finite and >= 0, got nan"),
+])
+def test_orbit_samples_refuse_a_bad_time_grid(dt, t_max, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as e:
+            orbit_samples(ReducedFraction(2, 7), dt, t_max)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("t_max", [400.0, 1500.0])
 def test_orbit_samples_refuse_points_past_the_float_range(t_max):
     # rows past 2 ln 3 are closed-form, so at 1/3 only e^t itself overflows, first at t = 709.8

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cforbit import stats
-from cforbit.arith import euler_phi, omega
+from cforbit.arith import euler_phi, factorize, omega
 from cforbit.cfe import DigitHistogram, ReducedFraction, cfe_digits, cfe_len, convergents
 from cforbit.lattice import _fd_points
 from cforbit.stats import (
@@ -37,6 +37,7 @@ from cforbit.stats import (
     orbit_height_tail,
     uniform_edges,
 )
+from cforbit.zaremba import height_bound_check, members
 
 
 def test_measure_validation_and_cdf():
@@ -95,6 +96,35 @@ def test_sweep_readers_share_one_modulus_guard(reader):
         with pytest.raises(ValueError, match="q must be >= 3"):
             reader(q)
     reader(3)
+
+
+@pytest.mark.parametrize("reader, q", [
+    (len_stats, 101.7),
+    (lambda q: dispersion(q, 0.05), 101.7),
+    (nu_bar, 101.7),
+    (digit_one_frequency, 101.7),
+    (lambda q: averaged_height_tail(q, 2.0), 101.7),
+    (lambda q: mass_escape_count(q, 2.0, 6.0), 101.7),
+    (orbit_fd_histogram, 101.7),
+    (factorize, 10.5),
+    (euler_phi, 10.5),
+    (lambda q: members(q, 3), 600.0),
+    (lambda q: height_bound_check(q, 3), 600.0),
+    (lambda q: members(q, 3), np.int64(600)),
+    (lambda q: height_bound_check(q, 3), np.int64(600)),
+], ids=[
+    "len_stats", "dispersion", "nu_bar", "digit_one_frequency", "averaged_height_tail",
+    "mass_escape_count", "orbit_fd_histogram", "factorize", "euler_phi",
+    "members-float", "height_bound_check-float", "members-int64", "height_bound_check-int64",
+])
+def test_q_is_read_as_an_integer_never_truncated(reader, q):
+    # a float q is refused; a numpy integer reads as the int it holds
+    if isinstance(q, float):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            reader(q)
+    else:
+        got, want = reader(q), reader(int(q))
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 def test_dispersion_values_and_monotonicity_in_delta():
