@@ -24,6 +24,8 @@ from .lattice import _FD_CHUNK, _fd_words
 
 #: largest modulus the numeric detector accepts (see detect_events_numeric)
 _DETECT_Q_MAX = 10**7
+#: the detector walks every _WALK_STRIDE-th grid point first (see _grid_words)
+_WALK_STRIDE = 32
 
 
 class DegenerateStartError(ValueError):
@@ -139,44 +141,66 @@ class NumericEvent:
 
 
 def _classify_event(a: int, b: int, c: int, d: int, p: int, q: int) -> Optional[tuple[CrossSectionPoint, bool]]:
-    """Section test for exact endpoints alpha = gamma(inf), omega = gamma(p/q) of one representative."""
-    if c == 0:
+    """Section test for exact endpoints alpha = gamma(inf), omega = gamma(p/q) of one representative.
+
+    The endpoint inequalities are integer comparisons; Fractions are built for an accepted event only.
+    """
+    wnum, wden = a * p + b * q, c * p + d * q
+    if c == 0 or wden == 0:
         return None
-    alpha = Fraction(a, c)
-    wden = c * p + d * q
-    if wden == 0:
-        return None
-    omega = Fraction(a * p + b * q, wden)
-    if alpha <= -1 and 0 < omega < 1:
+    if c < 0:
+        a, c = -a, -c
+    if wden < 0:
+        wnum, wden = -wnum, -wden
+    if a <= -c and 0 < wnum < wden:
         eps = 1
-    elif alpha >= 1 and -1 < omega < 0:
+    elif a >= c and -wden < wnum < 0:
         eps = -1
     else:
         return None
+    alpha, omega = Fraction(a, c), Fraction(wnum, wden)
     pt = CrossSectionPoint(abs(omega), 1 / abs(omega - alpha), eps)
-    return pt, abs(alpha) == 1
+    return pt, abs(a) == c
 
 
-def _image_re(a, b, c, d, xf: float, u):
-    """Re of the Moebius image (a z + b) / (c z + d) of the points z = xf + i u."""
-    cxd = c * xf + d
-    den = cxd * cxd + (c * u) * (c * u)
-    return ((a * xf + b) * cxd + a * c * u * u) / den
+def _grid_words(xf: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Words of the grid points xf + i u as int64 rows a, b, c, d, and each point's owner column.
+
+    Walks every _WALK_STRIDE-th point and the last one with _fd_words. A
+    stretch whose two walked ends carry the identical word lends it to every
+    point between: the cell gamma^-1 F is geodesically convex, so the vertical
+    geodesic meets it in one interval. The inner points of every other
+    stretch are walked in one more call. A point's owner word is then its own
+    walked word up to sign, which leaves the Moebius map unchanged.
+    """
+    step = np.arange(u.size - 1)
+    ends = np.append(step[::_WALK_STRIDE], u.size - 1)
+    words = np.stack(_fd_words(np.full(ends.size, xf), u[ends]))
+    same = (words[:, 1:] == words[:, :-1]).all(axis=0)
+    owner = np.append(step // _WALK_STRIDE, ends.size - 1)
+    inner = step[~same[owner[:-1]] & (step % _WALK_STRIDE > 0)]
+    owner[inner] = ends.size + np.arange(inner.size)
+    words = np.concatenate([words, np.stack(_fd_words(np.full(inner.size, xf), u[inner]))], axis=1)
+    return words, owner
 
 
 def detect_events_numeric(x: ReducedFraction, dt: float) -> list[NumericEvent]:
     """All section-set touches of the orbit of x, found on a time grid of the geodesic.
 
-    Walks every point xf + i e^{-i dt}, 0 <= i <= (2 ln q + 0.25)/dt, of the
-    vertical geodesic ending at x from the identity into the fundamental
-    domain (lattice._fd_words, in chunks of lattice._FD_CHUNK points that
-    overlap by one), which gives the unimodular word gamma_i of each point.
-    A sign change of Re(gamma_{i-1}(point)) between steps i-1 and i flags a
-    candidate; it counts when the exact rational endpoints of gamma_{i-1}
-    (or of S gamma_{i-1}, the other representative on the unit circle)
-    satisfy the section's endpoint inequalities, and the reported time is
-    the closed-form root of Re = 0, not the step time. Events on the exact
-    domain boundary are returned flagged, never dropped silently.
+    The grid is the points xf + i e^{-i dt}, 0 <= i <= (2 ln q + 0.25)/dt, of
+    the vertical geodesic ending at x, in chunks of lattice._FD_CHUNK points
+    that overlap by one. Each point gets the unimodular word gamma_i that
+    walks it from the identity into the fundamental domain (lattice._fd_words).
+    Only every _WALK_STRIDE-th point of a chunk and its last are walked at
+    first: each cell gamma^-1 F is geodesically convex, so the geodesic meets
+    it in one interval, and a stretch whose two walked ends carry the same
+    word carries it throughout. The points of every other stretch are walked
+    too (_grid_words). A sign change of Re(gamma_{i-1}(point)) between steps
+    i-1 and i flags a candidate; it counts when the exact rational endpoints
+    of gamma_{i-1} (or of S gamma_{i-1}, the other representative on the unit
+    circle) satisfy the section's endpoint inequalities, and the reported
+    time is the closed-form root of Re = 0, not the step time. Events on the
+    exact domain boundary are returned flagged, never dropped silently.
 
     Accepts any 0 < x < 1 with q <= 10^7, including the degenerate starts;
     x = 1/2 yields no crossings. The grid ends at u ~ 0.78/q^2, which must
@@ -194,12 +218,17 @@ def detect_events_numeric(x: ReducedFraction, dt: float) -> list[NumericEvent]:
     events: list[NumericEvent] = []
     for lo in range(0, n_steps, _FD_CHUNK - 1):
         u = np.exp(-np.arange(lo, min(lo + _FD_CHUNK - 1, n_steps) + 1) * dt)
-        # Below _DETECT_Q_MAX the word entries stay near q and their products
-        # below about q^2, so the int64 columns cannot overflow.
-        a, b, c, d = _fd_words(np.full(u.size, xf), u)
-        w = (a[:-1], b[:-1], c[:-1], d[:-1])
-        for i in np.flatnonzero(_image_re(*w, xf, u[:-1]) * _image_re(*w, xf, u[1:]) < 0.0):
-            a0, b0, c0, d0 = int(a[i]), int(b[i]), int(c[i]), int(d[i])
+        # Below _DETECT_Q_MAX the word entries stay near q, so B = a c stays
+        # below about q^2 and the int64 columns cannot overflow.
+        words, owner = _grid_words(xf, u)
+        a, b, c, d = words
+        # the numerator of Re(gamma(xf + i u)) is A + B u u, with the float
+        # operations of the Moebius image; its denominator is positive
+        w = owner[:-1]
+        A, B = ((a * xf + b) * (c * xf + d))[w], (a * c)[w]
+        u0, u1 = u[:-1], u[1:]
+        flagged = w[(A + B * u0 * u0) * (A + B * u1 * u1) < 0.0]
+        for a0, b0, c0, d0 in words[:, flagged].T.tolist():
             for ha, hb, hc, hd in ((a0, b0, c0, d0), (-c0, -d0, a0, b0)):
                 got = _classify_event(ha, hb, hc, hd, p, q)
                 if got is None:

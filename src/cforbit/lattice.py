@@ -141,7 +141,8 @@ def _fd_points(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     order, so its result does not depend on the batch it runs in. Finished
     columns are dropped by a keep mask after every round. Its callers are
     orbit_samples and stats.orbit_fd_histogram; the crossing detector
-    walks with _fd_words.
+    walks a stride of its grid with _fd_words and lends each walked word
+    to the points between two equal ones.
     """
     a, b, c, d = (np.asarray(v, dtype=np.float64).ravel() for v in np.broadcast_arrays(a, b, c, d))
     size = a.size
@@ -240,6 +241,14 @@ def haar_fd_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     return x, y
 
 
+def _grid_steps(span: float, dt: float) -> int:
+    """ceil(span / dt), the step count of a time grid; ValueError naming dt for one numpy cannot index."""
+    steps = span / dt
+    if not steps < np.iinfo(np.intp).max:
+        raise ValueError(f"dt={dt} gives {steps:.3g} grid steps over t <= {span:.6g}, more than numpy can index")
+    return int(math.ceil(steps))
+
+
 def orbit_samples(
     x: ReducedFraction, dt: float, t_max: Optional[float] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -251,7 +260,8 @@ def orbit_samples(
     point is s/q less its nearest integer, at height e^t/q^2 > 1, with the
     tie rules of _fd_points. height is sqrt(fd_y). Raises ValueError for a
     dt that is not finite and positive, a t_max that is not finite and
-    >= 0, and naming the first t whose point is not finite in float64.
+    >= 0, a grid too long for numpy to index (naming dt), and naming the
+    first t whose point is not finite in float64.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -260,7 +270,7 @@ def orbit_samples(
     life = 2.0 * math.log(x.q)
     if t_max is None:
         t_max = life
-    n = int(math.ceil(t_max / dt))
+    n = _grid_steps(t_max, dt)
     t = np.minimum(np.arange(n + 1) * dt, t_max)
     fd_x, fd_y = np.full(t.size, np.nan), np.full(t.size, np.nan)
     with np.errstate(all="ignore"):

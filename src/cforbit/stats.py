@@ -61,7 +61,7 @@ import numpy as np
 from .arith import _coprime_mask, _euclid_rounds, euler_phi, factorize, omega
 from .cfe import DigitHistogram, ReducedFraction
 from .gaussmeasure import LN2, gauss_cdf
-from .lattice import _FD_CHUNK, _excursions, _fd_points, haar_fd_sample
+from .lattice import _FD_CHUNK, _excursions, _fd_points, _grid_steps, haar_fd_sample
 
 DEFAULT_BINS = 256
 DIGIT_CAP = 64
@@ -675,7 +675,7 @@ def orbit_fd_histogram(
     qi = operator.index(q)
     residues = _residue_sample(qi, sample_size, seed)
     span = 2.0 * math.log(qi)
-    n = max(1, int(math.ceil(span / dt)))
+    n = max(1, _grid_steps(span, dt))
     ts = np.linspace(0.0, span, n + 1)
     half = np.exp(ts / 2.0)
     tw = np.ones(n + 1)

@@ -208,6 +208,16 @@ def test_orbit_past_the_float_range_is_one_config_error(t_max, capsys, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["orbit", "--p", "1", "--q", "3"], ["fd-hist", "--q", "101"]], ids=["orbit", "fd-hist"])
+@pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+def test_a_grid_numpy_cannot_index_is_a_config_error_naming_dt(argv, dt, capsys):
+    assert main([*argv, "--dt", dt, "--threads", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith(f"dt={float(dt)} gives ") and message.endswith("more than numpy can index")
+
+
 def test_mass_escape_rows():
     columns, rows = read_rows(
         emit_text(["mass-escape", "--q", "97", "--M", "2,3", "--t", "0", "--threads", "1"])
